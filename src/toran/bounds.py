@@ -272,13 +272,6 @@ def _compose_power(terms, outer_exp: Fraction):
     return out
 
 
-def _b_main_hY(p):
-    n, d = _int_param(p, "N", 2), _int_param(p, "d", 1)
-    _need(d <= n - 2, f"need d <= N-2, got d={d}, N={n}")
-    s = n - 1 - d
-    return [_t(HDEG, Frac(n - 1, s)), _t(KTOR, Frac(d, s))], _standard_bases(p)
-
-
 def _b_main_degY(p):
     n, d = _int_param(p, "N", 2), _int_param(p, "d", 1)
     _need(d <= n - 2, f"need d <= N-2, got d={d}, N={n}")
@@ -389,10 +382,6 @@ def _weakstrict_exp(p) -> Fraction:
 
 
 def _b_weakstrict_degB(p):
-    return [_t(HDEG, _weakstrict_exp(p))], _standard_bases(p)
-
-
-def _b_weakstrict_hY(p):
     return [_t(HDEG, _weakstrict_exp(p))], _standard_bases(p)
 
 
@@ -592,8 +581,11 @@ def _b_bombieri_zannier(p):
     return [_t(DEG, 2**dim_v, 0)], {DEG: _pos(p, "degV", 1)}
 
 
+# Ids that share a function state the same bound: main_hY is tadimzero_hY0,
+# weakstrict_hY is weakstrict_degB.  No identity in exponent_identities
+# compares either pair.
 _CATALOG = {
-    "main_hY": _b_main_hY,
+    "main_hY": _b_tadimzero_hY0,
     "main_degY": _b_main_degY,
     "s2c_h": _b_s2c_h,
     "s2c_deg": _b_s2c_deg,
@@ -608,7 +600,7 @@ _CATALOG = {
     "teoremone_iii": _b_teoremone_iii,
     "teoremone_iv": _b_teoremone_iv,
     "weakstrict_degB": _b_weakstrict_degB,
-    "weakstrict_hY": _b_weakstrict_hY,
+    "weakstrict_hY": _b_weakstrict_degB,
     "weakstrict_degY": _b_weakstrict_degY,
     "tadimzero_degB": _b_tadimzero_degB,
     "tadimzero_hY0": _b_tadimzero_hY0,
@@ -751,13 +743,6 @@ def omega_min(deg_h: int, candidates: list[tuple[int, int]]) -> OmegaMin:
 
 # ---------------------------------------------------------------------------
 # cross-checks between independently stated bounds
-
-
-def _terms_map(result: BoundResult) -> dict:
-    out = {}
-    for t in result.terms:
-        out[t.base] = (t.exponent, t.eta_coeff)
-    return out
 
 
 def _terms_of(theorem_id: str, **params) -> dict:

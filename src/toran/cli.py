@@ -407,6 +407,7 @@ def main(argv=None) -> int:
         RankError,
         DiscMismatchError,
         ValueError,
+        ZeroDivisionError,
         KeyError,
         OSError,
         json.JSONDecodeError,

@@ -11,23 +11,19 @@ surrogate makes the output exactly the set of canonical labels within X.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
-
 from .mordell_weil import PointInEN
-from .orders import EUCLIDEAN_DISCS, OrderElement
+from .orders import EUCLIDEAN_DISCS, OrderElement, _elements_norm_le
 from .subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
     TorsionPoint,
+    _divisors,
     _rank,
+    _row_norm_product,
     degree_surrogate,
-    hnf,
     kernel_lattice_at_level,
     saturate,
 )
-
-_ZERO_SKIP = object()
 
 
 def _mobius(n: int) -> int:
@@ -45,18 +41,6 @@ def _mobius(n: int) -> int:
     if n > 1:
         out = -out
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def count_torsion_points(n_ambient: int, level: int, exact_order: bool = False) -> int:
@@ -101,23 +85,7 @@ def enumerate_torsion(
 
 def surrogate_degree(m: SubgroupMatrix) -> int:
     """Product over rows of the summed coordinate norms."""
-    out = 1
-    for row in m.rows:
-        out *= sum(e.norm() for e in row)
-    return out
-
-
-def _elements_norm_le(disc: int, cap: int) -> list[OrderElement]:
-    out = []
-    b_bound = isqrt(4 * cap // (-disc)) + 1
-    for b in range(-b_bound, b_bound + 1):
-        a_bound = isqrt(cap) + abs(b) + 1
-        for a in range(-a_bound, a_bound + 1):
-            e = OrderElement(disc, a, b)
-            if e.norm() <= cap:
-                out.append(e)
-    out.sort(key=lambda e: (e.norm(), e.a, e.b))
-    return out
+    return _row_norm_product(m.rows)
 
 
 def _rows_within(disc: int, n_ambient: int, cap: int) -> list[tuple]:

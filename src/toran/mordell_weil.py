@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .orders import DiscMismatchError, OrderElement, QuadRat
+from .orders import DiscMismatchError, OrderElement, QuadRat, _as_element, _dot
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
+    _det,
+    _identity,
     _left_kernel,
     _rank,
     hnf,
@@ -65,7 +67,7 @@ class ModuleSpec:
         # Sylvester: all leading principal minors positive (they are rational
         # by hermitian symmetry)
         for k in range(1, self.rank + 1):
-            d = _det_field([row[:k] for row in g[:k]], self.disc)
+            d = _det([row[:k] for row in g[:k]])
             if d.y != 0 or d.x <= 0:
                 raise ValueError(f"gram is not positive definite (minor {k})")
 
@@ -89,44 +91,16 @@ class ModuleSpec:
         )
 
 
-def _det_field(rows, disc: int) -> QuadRat:
-    n = len(rows)
-    if n == 0:
-        return QuadRat.one(disc)
-    if n == 1:
-        return rows[0][0]
-    out = QuadRat.zero(disc)
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det_field(minor, disc)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
 class ModulePoint:
     """A point alpha . g + beta * T of a single factor E."""
 
     __slots__ = ("spec", "free", "torsion")
 
     def __init__(self, spec: ModuleSpec, free, torsion: OrderElement | int = 0):
-        conv = []
-        for a in free:
-            if isinstance(a, OrderElement):
-                if a.disc != spec.disc:
-                    raise DiscMismatchError(f"coefficient disc {a.disc} != {spec.disc}")
-                conv.append(a)
-            elif isinstance(a, tuple):
-                conv.append(OrderElement(spec.disc, a[0], a[1]))
-            else:
-                conv.append(OrderElement(spec.disc, int(a), 0))
+        conv = [_as_element(spec.disc, a) for a in free]
         if len(conv) != spec.rank:
             raise ValueError(f"need {spec.rank} free coefficients, got {len(conv)}")
-        if isinstance(torsion, tuple):
-            torsion = OrderElement(spec.disc, torsion[0], torsion[1])
-        elif isinstance(torsion, int):
-            torsion = OrderElement(spec.disc, torsion, 0)
+        torsion = _as_element(spec.disc, torsion)
         R = spec.torsion_order
         torsion = OrderElement(spec.disc, torsion.a % R, torsion.b % R)
         object.__setattr__(self, "spec", spec)
@@ -208,6 +182,8 @@ class PointInEN:
         rows = list(rows)
         if torsions is None:
             torsions = [0] * len(rows)
+        elif len(torsions) != len(rows):
+            raise ValueError(f"{len(rows)} coefficient rows but {len(torsions)} torsions")
         return cls(
             spec,
             [ModulePoint(spec, row, tor) for row, tor in zip(rows, torsions)],
@@ -317,8 +293,7 @@ def minimal_coset(x: PointInEN) -> tuple[SubgroupMatrix, TorsionPoint, int]:
     disc, N = x.spec.disc, x.N
     nonzero = any(any(e for e in row) for row in A)
     if not nonzero:
-        ident = [[OrderElement(disc, int(i == j), 0) for j in range(N)] for i in range(N)]
-        M = SubgroupMatrix(disc, N, ident, check_rank=False)
+        M = SubgroupMatrix(disc, N, _identity(disc, N), check_rank=False)
         return M, x.torsion_point(), 0
     m = _rank(A, disc)
     rows = _left_kernel(A, disc)
@@ -327,10 +302,7 @@ def minimal_coset(x: PointInEN) -> tuple[SubgroupMatrix, TorsionPoint, int]:
     assert M.r == N - m
     for row in M.rows:  # the defining equations kill the free part exactly
         for j in range(x.spec.rank):
-            acc = OrderElement.zero(disc)
-            for i in range(N):
-                acc = acc + row[i] * A[i][j]
-            assert acc.is_zero()
+            assert _dot(disc, row, [a[j] for a in A]).is_zero()
     return M, x.torsion_point(), m
 
 

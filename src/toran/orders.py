@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from math import isqrt
+from typing import Iterable, Iterator
 
 EUCLIDEAN_DISCS = (-3, -4, -7, -8, -11)
 
@@ -163,6 +164,45 @@ class OrderElement:
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _integral(v) -> int:
+    n = int(v)
+    if n != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return n
+
+
+def _as_element(disc: int, e) -> OrderElement:
+    """``e`` as an element over ``disc``: an OrderElement of that
+    discriminant, an (a, b) pair, or an integral value."""
+    if isinstance(e, OrderElement):
+        if e.disc != disc:
+            raise DiscMismatchError(f"element discriminant {e.disc} != {disc}")
+        return e
+    if isinstance(e, tuple):
+        a, b = e
+        return OrderElement(disc, _integral(a), _integral(b))
+    return OrderElement(disc, _integral(e), 0)
+
+
+def _dot(disc: int, xs: Iterable[OrderElement], ys: Iterable[OrderElement]) -> OrderElement:
+    """sum x_i * y_i over the order, accumulated left to right from zero."""
+    return sum((x * y for x, y in zip(xs, ys)), OrderElement.zero(disc))
+
+
+def _elements_norm_le(disc: int, cap: int) -> list[OrderElement]:
+    """Every element of norm at most ``cap``, sorted by (norm, a, b)."""
+    out = []
+    b_bound = isqrt(4 * cap // (-disc)) + 1
+    for b in range(-b_bound, b_bound + 1):
+        a_bound = isqrt(cap) + abs(b) + 1
+        for a in range(-a_bound, a_bound + 1):
+            e = OrderElement(disc, a, b)
+            if e.norm() <= cap:
+                out.append(e)
+    out.sort(key=lambda e: (e.norm(), e.a, e.b))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from math import lcm as int_lcm
 
 from .mordell_weil import ModulePoint, PointInEN, minimal_coset
-from .orders import OrderElement, QuadRat
+from .orders import OrderElement, QuadRat, _as_element, _dot
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
+    _identity,
     _left_kernel,
     _rank,
     apply_matrix,
@@ -58,10 +59,7 @@ class TorsionCoset:
         A = x.coefficient_rows()
         for row in M.rows:
             for j in range(x.spec.rank):
-                acc = OrderElement.zero(M.disc)
-                for i in range(M.N):
-                    acc = acc + row[i] * A[i][j]
-                if not acc.is_zero():
+                if not _dot(M.disc, row, [a[j] for a in A]).is_zero():
                     return False
         return apply_matrix(M, x.torsion_point()) == apply_matrix(M, self.zeta)
 
@@ -75,17 +73,9 @@ class GammaPoint:
     def __init__(self, point: PointInEN, multipliers=None):
         if multipliers is None:
             multipliers = [OrderElement.one(point.spec.disc)] * point.N
-        conv = []
-        for a in multipliers:
-            if isinstance(a, tuple):
-                a = OrderElement(point.spec.disc, a[0], a[1])
-            elif isinstance(a, int):
-                a = OrderElement(point.spec.disc, a, 0)
-            if a.disc != point.spec.disc:
-                raise ValueError("multiplier over a different discriminant")
-            if a.is_zero():
-                raise ValueError("multipliers must be non-zero")
-            conv.append(a)
+        conv = [_as_element(point.spec.disc, a) for a in multipliers]
+        if any(a.is_zero() for a in conv):
+            raise ValueError("multipliers must be non-zero")
         if len(conv) != point.N:
             raise ValueError(f"need {point.N} multipliers, got {len(conv)}")
         object.__setattr__(self, "point", point)
@@ -101,12 +91,6 @@ class GammaPoint:
             [self.multipliers[i] * e for e in row] for i, row in enumerate(A)
         ]
 
-    def torsion_sides(self) -> TorsionPoint:
-        """The torsion points zeta_i = a_i * (beta_i / R) on the right sides."""
-        tp = self.point.torsion_point()
-        coords = [a * c for a, c in zip(self.multipliers, tp.coords)]
-        return TorsionPoint(tp.disc, tp.level, coords)
-
 
 def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
     """Eliminate the generators from the relaxed presentation of x.
@@ -120,10 +104,7 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
     B = gp.coefficient_matrix()
     m = _rank(B, disc)
     if m == 0:
-        ident = [
-            [OrderElement(disc, int(i == j), 0) for j in range(N)] for i in range(N)
-        ]
-        M = SubgroupMatrix(disc, N, ident, check_rank=False)
+        M = SubgroupMatrix(disc, N, _identity(disc, N), check_rank=False)
         return TorsionCoset(M, x.torsion_point())
     U = _left_kernel(B, disc)  # (N - m) x N, saturated
     raw_rows = [

@@ -167,10 +167,13 @@ def module_spec_from_json_dict(obj: dict) -> tuple[ModuleSpec, list[PointInEN]]:
             ]
             for row in obj["gram"]
         ]
+        raw_points = obj.get("points", [])
+        if not isinstance(raw_points, list):
+            raise TypeError(f"points must be a list, got {raw_points!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad module spec object: {exc}") from exc
     spec = ModuleSpec(disc, rank, gram, torsion_order)
-    points = [point_from_json_dict(spec, p) for p in obj.get("points", [])]
+    points = [point_from_json_dict(spec, p) for p in raw_points]
     return spec, points
 
 

@@ -14,16 +14,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .orders import OrderElement, canonicalizing_unit, norm_omega, trace_omega
+from .orders import (
+    OrderElement,
+    _as_element,
+    _dot,
+    _elements_norm_le,
+    canonicalizing_unit,
+    norm_omega,
+    trace_omega,
+)
 from .subgroups import (
     RankError,
     SubgroupMatrix,
     _rank,
     _right_kernel,
+    _row_norm_product,
+    _z_basis,
     hnf,
+    ints_to_vector,
     orthogonal_complement,
     saturate,
-    vector_to_ints,
 )
 
 #: default certificate constant; empirically stable across the five orders
@@ -62,36 +72,16 @@ class LinearSystem:
 
     @classmethod
     def from_ints(cls, disc: int, rows) -> LinearSystem:
-        conv = []
-        for row in rows:
-            out = []
-            for e in row:
-                if isinstance(e, OrderElement):
-                    out.append(e)
-                elif isinstance(e, tuple):
-                    out.append(OrderElement(disc, e[0], e[1]))
-                else:
-                    out.append(OrderElement(disc, int(e), 0))
-            conv.append(out)
-        return cls(disc, conv)
+        return cls(disc, [[_as_element(disc, e) for e in row] for row in rows])
 
     def row_height(self, i: int) -> int:
-        return sum(e.norm() for e in self.rows[i])
+        return _row_norm_product([self.rows[i]])
 
     def size_term(self) -> int:
-        out = 1
-        for i in range(self.m):
-            out *= self.row_height(i)
-        return out
+        return _row_norm_product(self.rows)
 
     def evaluate(self, v: list[OrderElement]) -> list[OrderElement]:
-        out = []
-        for row in self.rows:
-            acc = OrderElement.zero(self.disc)
-            for e, x in zip(row, v):
-                acc = acc + e * x
-            out.append(acc)
-        return out
+        return [_dot(self.disc, row, v) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -117,8 +107,9 @@ class SiegelCertificate:
         return self.achieved_norm / (self.size_term ** (self.exp_num / self.exp_den))
 
 
-def _trace_gram(disc: int, u: list[int], v: list[int]) -> int:
-    # sum of Tr(u_i * conj(v_i)) over coordinates, in (a, b) interleaved form
+def _trace_gram(disc: int, u: list, v: list):
+    # sum of Tr(u_i * conj(v_i)) over coordinates, in (a, b) interleaved form;
+    # exact for integer or Fraction coordinates
     t = trace_omega(disc)
     n0 = norm_omega(disc)
     acc = 0
@@ -135,34 +126,22 @@ def _lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
     if k_max <= 1:
         return b
 
-    def gram(u, v):
-        return Fraction(_trace_gram(disc, u, v))
-
     def gso():
         mu = [[Fraction(0)] * k_max for _ in range(k_max)]
         bstar_norm = [Fraction(0)] * k_max
         bstar = [[Fraction(x) for x in b[0]]]
-        bstar_norm[0] = gram(b[0], b[0])
+        bstar_norm[0] = Fraction(_trace_gram(disc, b[0], b[0]))
         for i in range(1, k_max):
             vec = [Fraction(x) for x in b[i]]
             for j in range(i):
                 denom = bstar_norm[j]
                 mu[i][j] = (
-                    _frac_gram(disc, b[i], bstar[j]) / denom if denom else Fraction(0)
+                    _trace_gram(disc, b[i], bstar[j]) / denom if denom else Fraction(0)
                 )
                 vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
             bstar.append(vec)
-            bstar_norm[i] = _frac_gram(disc, vec, vec)
+            bstar_norm[i] = _trace_gram(disc, vec, vec)
         return mu, bstar, bstar_norm
-
-    def _frac_gram(d, u, v):
-        t = trace_omega(d)
-        n0 = norm_omega(d)
-        acc = Fraction(0)
-        for i in range(0, len(u), 2):
-            a1, b1, a2, b2 = u[i], u[i + 1], v[i], v[i + 1]
-            acc += 2 * a1 * a2 + t * (a1 * b2 + a2 * b1) + 2 * n0 * b1 * b2
-        return acc
 
     mu, bstar, bstar_norm = gso()
     k = 1
@@ -182,14 +161,7 @@ def _lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
 
 
 def _max_coord_norm(disc: int, flat: list[int]) -> int:
-    out = 0
-    for i in range(0, len(flat), 2):
-        out = max(out, OrderElement(disc, flat[i], flat[i + 1]).norm())
-    return out
-
-
-def _flat_to_vector(disc: int, flat: list[int]) -> list[OrderElement]:
-    return [OrderElement(disc, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+    return max(e.norm() for e in ints_to_vector(disc, flat))
 
 
 def small_solution(
@@ -210,16 +182,11 @@ def small_solution(
         )
     disc = system.disc
     kernel = _right_kernel([list(r) for r in system.rows], disc, system.n)
-    w = OrderElement.omega(disc)
-    lattice = []
-    for v in kernel:
-        lattice.append(vector_to_ints(v))
-        lattice.append(vector_to_ints([w * e for e in v]))
-    reduced = _lll(disc, lattice)
+    reduced = _lll(disc, _z_basis(kernel, disc))
     ordered = sorted(reduced, key=lambda f: (_max_coord_norm(disc, f), f))
     chosen: list[list[OrderElement]] = []
     for flat in ordered:
-        cand = _flat_to_vector(disc, flat)
+        cand = ints_to_vector(disc, flat)
         if all(e.is_zero() for e in cand):
             continue
         if _rank([list(v) for v in chosen] + [cand], disc) == len(chosen) + 1:
@@ -268,7 +235,7 @@ def _box_search(system: LinearSystem, count: int, max_cap: int = 9):
     """
     disc, n = system.disc, system.n
     for cap in range(1, max_cap + 1):
-        elems = _elements_up_to_norm(disc, cap)
+        elems = _elements_norm_le(disc, cap)
         if len(elems) ** n > 2_000_000:
             return None
         chosen: list[list[OrderElement]] = []
@@ -283,18 +250,6 @@ def _box_search(system: LinearSystem, count: int, max_cap: int = 9):
                 if len(chosen) == count:
                     return chosen
     return None
-
-
-def _elements_up_to_norm(disc: int, cap: int) -> list[OrderElement]:
-    out = []
-    bound = int(cap**0.5) + 2
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            e = OrderElement(disc, a, b)
-            if e.norm() <= cap:
-                out.append(e)
-    out.sort(key=lambda e: (e.norm(), e.a, e.b))
-    return out
 
 
 def complete_to_square(

@@ -18,6 +18,8 @@ from .orders import (
     DiscMismatchError,
     OrderElement,
     QuadRat,
+    _as_element,
+    _dot,
     canonical_residue,
     canonicalizing_unit,
     euclid_div,
@@ -80,17 +82,7 @@ class SubgroupMatrix:
     @classmethod
     def from_ints(cls, disc: int, rows: list[list]) -> SubgroupMatrix:
         """Build from (a, b) pairs or plain integers."""
-        conv = []
-        for row in rows:
-            out = []
-            for e in row:
-                if isinstance(e, OrderElement):
-                    out.append(e)
-                elif isinstance(e, tuple):
-                    out.append(OrderElement(disc, e[0], e[1]))
-                else:
-                    out.append(OrderElement(disc, int(e), 0))
-            conv.append(out)
+        conv = [[_as_element(disc, e) for e in row] for row in rows]
         return cls(disc, len(conv[0]), conv)
 
     @property
@@ -119,6 +111,12 @@ class SubgroupMatrix:
 # elimination over the order
 
 
+def _identity(disc: int, n: int) -> list[list[OrderElement]]:
+    one = OrderElement.one(disc)
+    zero = OrderElement.zero(disc)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def _column_echelon(rows: list[list[OrderElement]], disc: int, n_cols: int):
     """Column echelon form by unimodular column operations.
 
@@ -127,9 +125,7 @@ def _column_echelon(rows: list[list[OrderElement]], disc: int, n_cols: int):
     """
     m = len(rows)
     E = [list(row) for row in rows]
-    one = OrderElement.one(disc)
-    zero = OrderElement.zero(disc)
-    U = [[one if i == j else zero for j in range(n_cols)] for i in range(n_cols)]
+    U = _identity(disc, n_cols)
 
     def col_sub(c_dst, c_src, q):
         for row in E:
@@ -180,9 +176,7 @@ def _rank(rows, disc: int) -> int:
 def _right_kernel(rows, disc: int, n_cols: int) -> list[list[OrderElement]]:
     """Saturated basis of {v : M v = 0}, as a list of column vectors."""
     if not rows:
-        one = OrderElement.one(disc)
-        zero = OrderElement.zero(disc)
-        return [[one if i == j else zero for i in range(n_cols)] for j in range(n_cols)]
+        return _identity(disc, n_cols)
     E, U, pivots = _column_echelon([list(r) for r in rows], disc, n_cols)
     kernel_cols = [c for c in range(n_cols) if all(not E[i][c] for i in range(len(E)))]
     return [[U[i][c] for i in range(n_cols)] for c in kernel_cols]
@@ -197,21 +191,6 @@ def _left_kernel(rows, disc: int) -> list[list[OrderElement]]:
     if not rows:
         return []
     return _right_kernel(_transpose(rows), disc, len(rows))
-
-
-def _annihilator(vectors, disc: int, n_cols: int) -> list[list[OrderElement]]:
-    # rows u with u . v = 0 (no conjugation) for every v in vectors
-    if not vectors:
-        return [
-            [OrderElement(disc, int(i == j), 0) for j in range(n_cols)]
-            for i in range(n_cols)
-        ]
-    return _right_kernel([list(v) for v in vectors], disc, n_cols)
-
-
-def right_kernel_basis(M: SubgroupMatrix) -> list[list[OrderElement]]:
-    """Columns parametrizing the connected kernel of M (dimension N - r)."""
-    return _right_kernel(list(M.rows), M.disc, M.N)
 
 
 def hnf(M: SubgroupMatrix) -> SubgroupMatrix:
@@ -269,8 +248,9 @@ def saturate(M: SubgroupMatrix) -> SubgroupMatrix:
     """
     if M.r == 0:
         return M
+    # rows u with u . v = 0 (no conjugation) for every kernel vector v
     kernel = _right_kernel(list(M.rows), M.disc, M.N)
-    sat_rows = _annihilator(kernel, M.disc, M.N)
+    sat_rows = _right_kernel(kernel, M.disc, M.N)
     sat = SubgroupMatrix(M.disc, M.N, sat_rows, check_rank=False)
     return hnf(sat)
 
@@ -301,20 +281,25 @@ class DegreeSurrogate:
         return self.minor_sum <= self.hadamard_bound
 
 
-def _det_order(rows: list[list[OrderElement]], disc: int) -> OrderElement:
+def _det(rows):
+    """Determinant of a non-empty square matrix of OrderElement or QuadRat
+    entries, by cofactor expansion along the first row."""
     n = len(rows)
-    if n == 0:
-        return OrderElement.one(disc)
     if n == 1:
         return rows[0][0]
-    out = OrderElement.zero(disc)
+    out = rows[0][0] * 0  # the zero of the entries' ring
     for j in range(n):
         if not rows[0][j]:
             continue
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det_order(minor, disc)
+        term = rows[0][j] * _det(minor)
         out = out + term if j % 2 == 0 else out - term
     return out
+
+
+def _row_norm_product(rows) -> int:
+    """Product over rows of the summed coordinate norms."""
+    return prod(sum(e.norm() for e in row) for row in rows)
 
 
 def degree_surrogate(M: SubgroupMatrix) -> DegreeSurrogate:
@@ -325,9 +310,8 @@ def degree_surrogate(M: SubgroupMatrix) -> DegreeSurrogate:
     minor_sum = 0
     for cols in combinations(range(M.N), M.r):
         sub = [[row[c] for c in cols] for row in M.rows]
-        minor_sum += _det_order(sub, M.disc).norm()
-    row_product = prod(sum(e.norm() for e in row) for row in M.rows)
-    return DegreeSurrogate(minor_sum, row_product, M.N, M.r)
+        minor_sum += _det(sub).norm()
+    return DegreeSurrogate(minor_sum, _row_norm_product(M.rows), M.N, M.r)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +360,7 @@ class TorsionPoint:
 
     def order(self) -> int:
         n = self.level
-        for d in sorted(_divisors(n)):
+        for d in _divisors(n):
             if all((d * c.a) % n == 0 and (d * c.b) % n == 0 for c in self.coords):
                 return d
         raise AssertionError("unreachable")
@@ -421,26 +405,22 @@ class TorsionPoint:
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
+    """The positive divisors of n in increasing order."""
+    small, large = [], []
     d = 1
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            small.append(d)
             if d != n // d:
-                out.append(n // d)
+                large.append(n // d)
         d += 1
-    return out
+    return small + large[::-1]
 
 
 def apply_matrix(M: SubgroupMatrix, zeta: TorsionPoint) -> TorsionPoint:
     """The image M*zeta, a torsion point of E^r at the same level."""
     _check_same(M.disc, M.N, zeta.disc, zeta.N)
-    coords = []
-    for row in M.rows:
-        acc = OrderElement.zero(M.disc)
-        for e, c in zip(row, zeta.coords):
-            acc = acc + e * c
-        coords.append(acc)
+    coords = [_dot(M.disc, row, zeta.coords) for row in M.rows]
     return TorsionPoint(M.disc, zeta.level, coords)
 
 
@@ -476,44 +456,59 @@ def ints_to_vector(disc: int, flat: list[int]) -> list[OrderElement]:
     return [OrderElement(disc, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
 
+def _z_basis(vectors, disc: int) -> list[list[int]]:
+    """Integer images of v and w*v for each order vector v: a Z-basis of
+    the O-span of the vectors when they are independent."""
+    w = OrderElement.omega(disc)
+    rows = []
+    for v in vectors:
+        rows.append(vector_to_ints(v))
+        rows.append(vector_to_ints([w * e for e in v]))
+    return rows
+
+
+def _level_steps(M: SubgroupMatrix, level: int) -> tuple[list[int], list[list[int]]]:
+    """Steps s_i and the column transform V such that M kills V*u mod level
+    exactly when every u_i is a multiple of s_i.
+
+    With diag(d) = U*A*V the Smith form of the integer model A, coordinate i
+    needs d_i*u_i = 0 mod level, so s_i = level // gcd(d_i, level), and 1
+    where d_i = 0 or i lies beyond the rank.
+    """
+    n2 = 2 * M.N
+    if M.r == 0:
+        return [1] * n2, [[int(i == j) for j in range(n2)] for i in range(n2)]
+    d, _, V = snf_int(integer_model(list(M.rows), M.disc, M.N))
+    steps = [
+        level // int_gcd(d[i], level) if i < len(d) and d[i] != 0 else 1
+        for i in range(n2)
+    ]
+    return steps, V
+
+
 def kernel_count_at_level(M: SubgroupMatrix, level: int) -> int:
     """|{zeta in E[level]^N : M zeta = 0}| without enumeration."""
-    if M.r == 0:
-        return level ** (2 * M.N)
-    d, _, _ = snf_int(integer_model(list(M.rows), M.disc, M.N))
-    count = level ** (2 * (M.N - M.r))
-    for di in d:
-        count *= int_gcd(di, level)
-    return count
+    steps, _ = _level_steps(M, level)
+    return prod(level // s for s in steps)
 
 
 def kernel_at_level(
     M: SubgroupMatrix, level: int, max_points: int | None = 200_000
 ) -> list[TorsionPoint]:
     """All torsion points of E[level]^N killed by M, via the integer model."""
-    total = kernel_count_at_level(M, level)
+    steps, V = _level_steps(M, level)
+    total = prod(level // s for s in steps)
     if max_points is not None and total > max_points:
         raise BudgetExceededError(
             f"kernel at level {level} has {total} points > budget {max_points}"
         )
     n2 = 2 * M.N
-    if M.r == 0:
-        ranges = [range(level)] * n2
-        V = [[int(i == j) for j in range(n2)] for i in range(n2)]
-    else:
-        d, _, V = snf_int(integer_model(list(M.rows), M.disc, M.N))
-        ranges = []
-        for i in range(n2):
-            if i < len(d) and d[i] != 0:
-                g = int_gcd(d[i], level)
-                step = level // g
-                ranges.append(range(0, level, step))
-            else:
-                ranges.append(range(level))
     out = []
     from itertools import product as iproduct
 
-    for u in iproduct(*ranges):
+    # V is unimodular, so these points are distinct mod level; the dedup and
+    # the count check below verify that rather than assume it
+    for u in iproduct(*(range(0, level, s) for s in steps)):
         v = [sum(V[i][j] * u[j] for j in range(n2)) % level for i in range(n2)]
         out.append(TorsionPoint(M.disc, level, ints_to_vector(M.disc, v)))
     seen = set()
@@ -535,14 +530,9 @@ def kernel_lattice_at_level(M: SubgroupMatrix, level: int) -> tuple:
     n2 = 2 * M.N
     gens = [[level * int(i == j) for j in range(n2)] for i in range(n2)]
     if M.r > 0:
-        d, _, V = snf_int(integer_model(list(M.rows), M.disc, M.N))
-        for i in range(n2):
-            if i < len(d) and d[i] != 0:
-                g = int_gcd(d[i], level)
-                step = level // g
-                gens.append([V[k][i] * step for k in range(n2)])
-            else:
-                gens.append([V[k][i] for k in range(n2)])
+        steps, V = _level_steps(M, level)
+        for i, s in enumerate(steps):
+            gens.append([V[k][i] * s for k in range(n2)])
     return hnf_int(gens)
 
 
@@ -564,14 +554,14 @@ def sum_and_intersection(
     if stacked:
         # saturation of a possibly dependent stack: annihilate its kernel
         kern = _right_kernel(stacked, disc, N)
-        inter_rows = _annihilator(kern, disc, N)
+        inter_rows = _right_kernel(kern, disc, N)
         inter = hnf(SubgroupMatrix(disc, N, inter_rows, check_rank=False))
     else:
         inter = SubgroupMatrix(disc, N, [], check_rank=False)
     dim_int = N - inter.r
     k_h = _right_kernel(list(H.rows), disc, N)
     k_k = _right_kernel(list(K.rows), disc, N)
-    sum_rows = _annihilator(k_h + k_k, disc, N)
+    sum_rows = _right_kernel(k_h + k_k, disc, N)
     if sum_rows:
         Msum = hnf(SubgroupMatrix(disc, N, sum_rows, check_rank=False))
     else:
@@ -600,14 +590,10 @@ def intersection_cardinality(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 
 def _joint_lattice_rows(H: SubgroupMatrix, K: SubgroupMatrix) -> list[list[int]]:
-    w = OrderElement.omega(H.disc)
-    rows = []
-    for v in _right_kernel(list(H.rows), H.disc, H.N) + _right_kernel(
+    kernels = _right_kernel(list(H.rows), H.disc, H.N) + _right_kernel(
         list(K.rows), K.disc, K.N
-    ):
-        rows.append(vector_to_ints(v))
-        rows.append(vector_to_ints([w * e for e in v]))
-    return rows
+    )
+    return _z_basis(kernels, H.disc)
 
 def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
     """The least level annihilating every point of H ∩ K (complementary case)."""
@@ -651,10 +637,7 @@ def tangent_orthogonal(
     d_a, d_b = len(A[0]), len(B[0])
     for j in range(d_a):
         for k in range(d_b):
-            acc = OrderElement.zero(disc)
-            for i in range(len(A)):
-                acc = acc + A[i][j] * B[i][k].conjugate()
-            if acc:
+            if _dot(disc, (a[j] for a in A), (b[k].conjugate() for b in B)):
                 return False
     return True
 

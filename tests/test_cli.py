@@ -298,6 +298,53 @@ def test_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+_BOUND_ARGS = ["--theorem", "tadimzero_hY0", "--param", "N=3", "--param", "d=1",
+               "--param", "hV=2", "--param", "degV=3", "--param", "ktorV=4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", *_BOUND_ARGS, "--eta", "1/0"],
+        ["bounds", *_BOUND_ARGS, "--param", "hV=1/0"],
+        ["bounds", *_BOUND_ARGS, "--constant", "c=1/0"],
+        ["bounds", "--theorem", "tadimzero_hY0", "--sweep", "{sweep}"],
+        ["identities", "--eta", "1/0"],
+        ["siegel", "--matrix", "{matrix}", "--constant", "1/0"],
+        ["complement", "--matrix", "{matrix}", "--constant", "1/0"],
+    ],
+    ids=["eta", "param", "constant", "sweep", "identities", "siegel", "complement"],
+)
+def test_zero_denominator_is_invalid_input(capsys, tmp_path, argv):
+    sweep = tmp_path / "rows.csv"
+    sweep.write_text("N,d,hV,degV,ktorV\n3,1,1/0,3,4\n")
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("-4 2 1\n2 3\n")
+    argv = [a.format(sweep=sweep, matrix=matrix) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and "error:" in err
+
+
+def test_point_with_mismatched_torsions_is_invalid(capsys, tmp_path):
+    spec = ModuleSpec(-3, 1, [[1]])
+    x = PointInEN.from_rows(spec, [[1], [2], [3]])
+    obj = module_spec_to_json_dict(spec, [x])
+    obj["points"][0]["torsions"] = ["1"]
+    path = tmp_path / "module.json"
+    path.write_text(dumps_canonical(obj))
+    code, out, err = run_cli(capsys, ["classify", "--module", str(path), "--dim-v", "1"])
+    assert code == 2 and not out and "torsions" in err
+
+
+def test_points_not_a_list_is_invalid(capsys, tmp_path):
+    obj = module_spec_to_json_dict(ModuleSpec(-3, 1, [[1]]))
+    obj["points"] = 5
+    path = tmp_path / "module.json"
+    path.write_text(dumps_canonical(obj))
+    code, out, err = run_cli(capsys, ["classify", "--module", str(path), "--dim-v", "1"])
+    assert code == 2 and not out and "points" in err
+
+
 def test_siegel(capsys, tmp_path):
     path = tmp_path / "sys.txt"
     path.write_text("-4 2 1\n2 3\n")

@@ -74,6 +74,10 @@ def test_point_shapes():
     assert x.torsion_point().level == 4
     assert not x.is_torsion()
     assert PointInEN.from_rows(spec, [[0], [0]], [1, 3]).is_torsion()
+    with pytest.raises(ValueError, match="torsions"):
+        PointInEN.from_rows(spec, [[1], [2], [3]], [1])
+    with pytest.raises(ValueError, match="torsions"):
+        PointInEN.from_rows(spec, [[1]], [1, 2])
 
 
 def test_pairing_laws():

@@ -12,6 +12,7 @@ from toran.orders import (
     DiscMismatchError,
     OrderElement,
     QuadRat,
+    _elements_norm_le,
     canonical_associate,
     canonical_residue,
     canonicalizing_unit,
@@ -62,6 +63,8 @@ def test_conjugation_and_norm(x, a, b):
     prod = x * x.conjugate()
     assert prod == OrderElement(x.disc, x.norm(), 0)
     assert x.norm() >= 0
+    # and adding it lands on the rational integer trace
+    assert x + x.conjugate() == OrderElement(x.disc, x.trace(), 0)
 
 
 def test_omega_data():
@@ -119,6 +122,66 @@ def test_parse_examples():
 def test_disc_mismatch_rejected():
     with pytest.raises(DiscMismatchError):
         OrderElement(-3, 1, 0) + OrderElement(-4, 1, 0)
+
+
+@pytest.mark.parametrize("disc", DISCS)
+def test_elements_norm_le_matches_box_filter(disc):
+    # norm >= (a^2 + b^2) / 2 on all five orders, so |a|, |b| <= 9 at cap 40
+    box = [OrderElement(disc, a, b) for a in range(-12, 13) for b in range(-12, 13)]
+    for cap in range(1, 41):
+        expected = sorted(
+            (e for e in box if e.norm() <= cap), key=lambda e: (e.norm(), e.a, e.b)
+        )
+        assert _elements_norm_le(disc, cap) == expected
+
+
+COERCING_CALLERS = (
+    "SubgroupMatrix.from_ints",
+    "LinearSystem.from_ints",
+    "ModulePoint.free",
+    "ModulePoint.torsion",
+    "GammaPoint.multipliers",
+)
+
+
+def _coercing_caller(name, disc):
+    """A public constructor that coerces loose input into an element over
+    disc, as a function of that one input value."""
+    from toran.mordell_weil import ModulePoint, ModuleSpec, PointInEN
+    from toran.reductions import GammaPoint
+    from toran.siegel import LinearSystem
+    from toran.subgroups import SubgroupMatrix
+
+    spec = ModuleSpec(disc, 1, [[1]], torsion_order=3)
+    x = PointInEN.from_rows(spec, [[1], [2]])
+    return {
+        "SubgroupMatrix.from_ints": lambda v: SubgroupMatrix.from_ints(disc, [[v, 1]]),
+        "LinearSystem.from_ints": lambda v: LinearSystem.from_ints(disc, [[v, 1]]),
+        "ModulePoint.free": lambda v: ModulePoint(spec, [v]),
+        "ModulePoint.torsion": lambda v: ModulePoint(spec, [1], torsion=v),
+        "GammaPoint.multipliers": lambda v: GammaPoint(x, [v, 1]),
+    }[name]
+
+
+@pytest.mark.parametrize("caller", COERCING_CALLERS)
+def test_coercion_accepts_elements_pairs_and_integers(caller):
+    build = _coercing_caller(caller, -4)
+    for v in (OrderElement(-4, 2, 1), (2, 1), 2, Fraction(4, 2)):
+        build(v)
+
+
+@pytest.mark.parametrize("caller", COERCING_CALLERS)
+def test_coercion_rejects_non_integral_values(caller):
+    build = _coercing_caller(caller, -4)
+    for v in (Fraction(3, 2), (Fraction(3, 2), 0), 1.5):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(v)
+
+
+@pytest.mark.parametrize("caller", COERCING_CALLERS)
+def test_coercion_rejects_other_discriminant(caller):
+    with pytest.raises(DiscMismatchError):
+        _coercing_caller(caller, -4)(OrderElement(-3, 2, 1))
 
 
 def test_euclid_div_frozen():
@@ -212,6 +275,8 @@ def test_quadrat_field_ops():
         if y.x == 0 and y.y == 0:
             continue
         assert (x / y) * y == x
+        assert x + x.conjugate() == QuadRat(disc, x.trace(), 0)
+        assert x.trace() == 2 * x.rational_part()
     z = QuadRat(-4, Fraction(3, 2), Fraction(-1, 2))
     assert z.rational_part() == Fraction(3, 2)
     w = QuadRat(-3, 2, 5)

@@ -138,6 +138,10 @@ def test_module_spec_errors():
         module_spec_from_json_dict(
             {"disc": -4, "rank": 1, "gram": [[{"q": "x"}]], "torsion_order": 1}
         )
+    with pytest.raises(FormatError, match="points"):
+        module_spec_from_json_dict(
+            {"disc": -4, "rank": 1, "gram": [[{"q": "1"}]], "points": 5}
+        )
 
 
 def test_point_json_round_trip():
