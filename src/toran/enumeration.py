@@ -165,7 +165,7 @@ def _enumerate_uncached(disc, n_ambient, dim, x_budget, budget):
             mat = SubgroupMatrix(
                 disc, n_ambient, [t[1] for t in chosen], check_rank=False
             )
-            if _rank([list(row) for row in mat.rows], disc) < r:
+            if _rank(mat.rows) < r:
                 return
             canon = saturate(mat)
             if canon.r != r or surrogate_degree(canon) > x_budget:
@@ -201,7 +201,7 @@ def _row_kills(row, coeff_rows) -> bool:
     return True
 
 
-def _dedup_unit_rows(rows, disc):
+def _dedup_unit_rows(rows):
     """One representative per unit-scaling class of rows."""
     from .orders import canonicalizing_unit
 
@@ -228,8 +228,8 @@ def brute_force_minimal_coset(
     coeff = point.coefficient_rows()
     all_rows = _rows_for(disc, n_ambient, x_budget)
     killing = [t for t in all_rows if _row_kills(t[1], coeff)]
-    killing = _dedup_unit_rows(killing, disc)
-    kill_rank = _rank([list(row) for _, row in killing], disc) if killing else 0
+    killing = _dedup_unit_rows(killing)
+    kill_rank = _rank([row for _, row in killing])
 
     examined = 0
     for r in range(kill_rank, 0, -1):
@@ -260,7 +260,7 @@ def brute_force_minimal_coset(
                 s, row = killing[i]
                 if prod * s > x_budget:
                     break
-                if _rank([list(c) for c in chosen] + [list(row)], disc) != len(chosen) + 1:
+                if _rank(chosen + [row]) != len(chosen) + 1:
                     continue
                 rec(i + 1, chosen + [row], prod * s)
 

@@ -17,7 +17,6 @@ from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
     _det,
-    _identity,
     _left_kernel,
     _rank,
     hnf,
@@ -291,14 +290,8 @@ def minimal_coset(x: PointInEN) -> tuple[SubgroupMatrix, TorsionPoint, int]:
     """
     A = x.coefficient_rows()
     disc, N = x.spec.disc, x.N
-    nonzero = any(any(e for e in row) for row in A)
-    if not nonzero:
-        M = SubgroupMatrix(disc, N, _identity(disc, N), check_rank=False)
-        return M, x.torsion_point(), 0
-    m = _rank(A, disc)
-    rows = _left_kernel(A, disc)
-    M = SubgroupMatrix(disc, N, rows, check_rank=False)
-    M = hnf(M) if M.r else M
+    m = _rank(A)
+    M = hnf(SubgroupMatrix(disc, N, _left_kernel(A, disc), check_rank=False))
     assert M.r == N - m
     for row in M.rows:  # the defining equations kill the free part exactly
         for j in range(x.spec.rank):

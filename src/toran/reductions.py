@@ -102,7 +102,7 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
     x = gp.point
     disc, N = x.spec.disc, x.N
     B = gp.coefficient_matrix()
-    m = _rank(B, disc)
+    m = _rank(B)
     if m == 0:
         M = SubgroupMatrix(disc, N, _identity(disc, N), check_rank=False)
         return TorsionCoset(M, x.torsion_point())

@@ -30,7 +30,6 @@ from .subgroups import (
     _right_kernel,
     _row_norm_product,
     _z_basis,
-    hnf,
     ints_to_vector,
     orthogonal_complement,
     saturate,
@@ -60,7 +59,7 @@ class LinearSystem:
         m = len(entries)
         if m >= n:
             raise ValueError(f"need fewer equations than unknowns, got {m} x {n}")
-        if _rank([list(r) for r in entries], disc) != m:
+        if _rank(entries) != m:
             raise RankError("system rows are dependent")
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "m", m)
@@ -181,7 +180,7 @@ def small_solution(
             f"count must lie in [1, {system.n - system.m}], got {count}"
         )
     disc = system.disc
-    kernel = _right_kernel([list(r) for r in system.rows], disc, system.n)
+    kernel = _right_kernel(system.rows, disc, system.n)
     reduced = _lll(disc, _z_basis(kernel, disc))
     ordered = sorted(reduced, key=lambda f: (_max_coord_norm(disc, f), f))
     chosen: list[list[OrderElement]] = []
@@ -189,7 +188,7 @@ def small_solution(
         cand = ints_to_vector(disc, flat)
         if all(e.is_zero() for e in cand):
             continue
-        if _rank([list(v) for v in chosen] + [cand], disc) == len(chosen) + 1:
+        if _rank(chosen + [cand]) == len(chosen) + 1:
             chosen.append(_unit_normalize(cand))
         if len(chosen) == count:
             break
@@ -245,7 +244,7 @@ def _box_search(system: LinearSystem, count: int, max_cap: int = 9):
                 continue
             if any(not e.is_zero() for e in system.evaluate(v)):
                 continue
-            if _rank([list(u) for u in chosen] + [v], disc) == len(chosen) + 1:
+            if _rank(chosen + [v]) == len(chosen) + 1:
                 chosen.append(v)
                 if len(chosen) == count:
                     return chosen
@@ -269,5 +268,5 @@ def complete_to_square(
     bottom = [[e.conjugate() for e in v] for v in vectors]
     full = SubgroupMatrix(M.disc, M.N, [list(r) for r in M.rows] + bottom)
     bottom_matrix = SubgroupMatrix(M.disc, M.N, bottom, check_rank=False)
-    assert hnf(saturate(bottom_matrix)) == orthogonal_complement(M)
+    assert saturate(bottom_matrix) == orthogonal_complement(M)
     return full, cert

@@ -73,7 +73,7 @@ class SubgroupMatrix:
         object.__setattr__(self, "N", n_ambient)
         object.__setattr__(self, "r", len(entries))
         object.__setattr__(self, "rows", tuple(entries))
-        if check_rank and self.r > 0 and _rank(list(self.rows), disc) != self.r:
+        if check_rank and _rank(self.rows) != self.r:
             raise RankError(f"matrix rows are dependent (r = {self.r})")
 
     def __setattr__(self, name, value):
@@ -117,79 +117,70 @@ def _identity(disc: int, n: int) -> list[list[OrderElement]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def _column_echelon(rows: list[list[OrderElement]], disc: int, n_cols: int):
-    """Column echelon form by unimodular column operations.
+def _echelon(rows, n_cols: int):
+    """Row echelon form of the first ``n_cols`` columns by unimodular row
+    operations, on a copy of the rows.
 
-    Returns (E, U) with E = M*U and U unimodular; the columns of U matching
-    zero columns of E form a saturated basis of the right kernel.
+    Returns (E, pivots): row i of E leads in column pivots[i], and the rows
+    from len(pivots) on are zero in the first ``n_cols`` columns.  Further
+    columns take part in every row operation but never hold a pivot, so an
+    identity appended there records the transform.  The pivot is the entry
+    of least (norm, a, b), then of least row index.
     """
-    m = len(rows)
     E = [list(row) for row in rows]
-    U = _identity(disc, n_cols)
-
-    def col_sub(c_dst, c_src, q):
-        for row in E:
-            row[c_dst] = row[c_dst] - q * row[c_src]
-        for row in U:
-            row[c_dst] = row[c_dst] - q * row[c_src]
-
-    def col_swap(c1, c2):
-        for row in E:
-            row[c1], row[c2] = row[c2], row[c1]
-        for row in U:
-            row[c1], row[c2] = row[c2], row[c1]
-
-    col = 0
+    m = len(E)
     pivots = []
-    for i in range(m):
-        if col >= n_cols:
+    for c in range(n_cols):
+        i = len(pivots)
+        if i >= m:
             break
         while True:
-            nz = [c for c in range(col, n_cols) if E[i][c]]
+            nz = [k for k in range(i, m) if E[k][c]]
             if not nz:
                 break
-            c0 = min(nz, key=lambda c: (_norm_key(E[i][c]), c))
-            if c0 != col:
-                col_swap(col, c0)
+            k0 = min(nz, key=lambda k: (_norm_key(E[k][c]), k))
+            if k0 != i:
+                E[i], E[k0] = E[k0], E[i]
             done = True
-            for c in range(col + 1, n_cols):
-                if E[i][c]:
-                    q, _ = euclid_div(E[i][c], E[i][col])
-                    col_sub(c, col, q)
-                    if E[i][c]:
+            for k in range(i + 1, m):
+                if E[k][c]:
+                    q, _ = euclid_div(E[k][c], E[i][c])
+                    E[k] = [x - q * y for x, y in zip(E[k], E[i])]
+                    if E[k][c]:
                         done = False
             if done:
                 break
-        if col < n_cols and E[i][col]:
-            pivots.append((i, col))
-            col += 1
-    return E, U, pivots
-
-
-def _rank(rows, disc: int) -> int:
-    if not rows:
-        return 0
-    _, _, pivots = _column_echelon([list(r) for r in rows], disc, len(rows[0]))
-    return len(pivots)
-
-
-def _right_kernel(rows, disc: int, n_cols: int) -> list[list[OrderElement]]:
-    """Saturated basis of {v : M v = 0}, as a list of column vectors."""
-    if not rows:
-        return _identity(disc, n_cols)
-    E, U, pivots = _column_echelon([list(r) for r in rows], disc, n_cols)
-    kernel_cols = [c for c in range(n_cols) if all(not E[i][c] for i in range(len(E)))]
-    return [[U[i][c] for i in range(n_cols)] for c in kernel_cols]
+        if E[i][c]:
+            pivots.append(c)
+    return E, pivots
 
 
 def _transpose(rows):
     return [list(col) for col in zip(*rows)]
 
 
+def _rank(rows) -> int:
+    """Rank over the fraction field.  Every pivot clears the rows below it,
+    so the elimination runs on whichever orientation has fewer rows."""
+    if rows and len(rows) > len(rows[0]):
+        rows = _transpose(rows)
+    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
+
+
+def _right_kernel(rows, disc: int, n_cols: int) -> list[list[OrderElement]]:
+    """Saturated basis of {v : M v = 0}, as a list of column vectors.
+
+    Reduces [M^T | I]: each row whose M^T part reduces to zero carries a
+    kernel vector in its identity part.
+    """
+    m = len(rows)
+    aug = [[row[j] for row in rows] + e for j, e in enumerate(_identity(disc, n_cols))]
+    E, pivots = _echelon(aug, m)
+    return [row[m:] for row in E[len(pivots):]]
+
+
 def _left_kernel(rows, disc: int) -> list[list[OrderElement]]:
     """Saturated basis of {u : u M = 0}, as a list of row vectors."""
-    if not rows:
-        return []
     return _right_kernel(_transpose(rows), disc, len(rows))
 
 
@@ -201,42 +192,20 @@ def hnf(M: SubgroupMatrix) -> SubgroupMatrix:
     entries above a pivot are minimal-(norm, a, b) residues, so the form is
     idempotent and identical for any two row bases of the same module.
     """
-    rows = [list(r) for r in M.rows]
-    r, N = M.r, M.N
-    i = 0
-    for c in range(N):
-        if i >= r:
-            break
-        while True:
-            nz = [k for k in range(i, r) if rows[k][c]]
-            if not nz:
-                break
-            k0 = min(nz, key=lambda k: (_norm_key(rows[k][c]), k))
-            if k0 != i:
-                rows[i], rows[k0] = rows[k0], rows[i]
-            done = True
-            for k in range(i + 1, r):
-                if rows[k][c]:
-                    q, _ = euclid_div(rows[k][c], rows[i][c])
-                    rows[k] = [rows[k][j] - q * rows[i][j] for j in range(N)]
-                    if rows[k][c]:
-                        done = False
-            if done:
-                break
-        if i < r and rows[i][c]:
-            u = canonicalizing_unit(rows[i][c])
-            if not u == 1:
-                rows[i] = [u * e for e in rows[i]]
-            pivot = rows[i][c]
-            for k in range(i):
-                if rows[k][c]:
-                    target = canonical_residue(rows[k][c], pivot)
-                    q = exact_div(rows[k][c] - target, pivot)
-                    if q:
-                        rows[k] = [rows[k][j] - q * rows[i][j] for j in range(N)]
-            i += 1
-    if i != r:
+    rows, pivots = _echelon(M.rows, M.N)
+    if len(pivots) != M.r:
         raise RankError("matrix rows are dependent")
+    for i, c in enumerate(pivots):
+        u = canonicalizing_unit(rows[i][c])
+        if not u == 1:
+            rows[i] = [u * e for e in rows[i]]
+        pivot = rows[i][c]
+        for k in range(i):
+            if rows[k][c]:
+                target = canonical_residue(rows[k][c], pivot)
+                q = exact_div(rows[k][c] - target, pivot)
+                if q:
+                    rows[k] = [x - q * y for x, y in zip(rows[k], rows[i])]
     return SubgroupMatrix(M.disc, M.N, rows, check_rank=False)
 
 
@@ -249,10 +218,9 @@ def saturate(M: SubgroupMatrix) -> SubgroupMatrix:
     if M.r == 0:
         return M
     # rows u with u . v = 0 (no conjugation) for every kernel vector v
-    kernel = _right_kernel(list(M.rows), M.disc, M.N)
+    kernel = _right_kernel(M.rows, M.disc, M.N)
     sat_rows = _right_kernel(kernel, M.disc, M.N)
-    sat = SubgroupMatrix(M.disc, M.N, sat_rows, check_rank=False)
-    return hnf(sat)
+    return hnf(SubgroupMatrix(M.disc, M.N, sat_rows, check_rank=False))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +446,7 @@ def _level_steps(M: SubgroupMatrix, level: int) -> tuple[list[int], list[list[in
     n2 = 2 * M.N
     if M.r == 0:
         return [1] * n2, [[int(i == j) for j in range(n2)] for i in range(n2)]
-    d, _, V = snf_int(integer_model(list(M.rows), M.disc, M.N))
+    d, _, V = snf_int(integer_model(M.rows, M.disc, M.N))
     steps = [
         level // int_gcd(d[i], level) if i < len(d) and d[i] != 0 else 1
         for i in range(n2)
@@ -529,10 +497,9 @@ def kernel_lattice_at_level(M: SubgroupMatrix, level: int) -> tuple:
     """
     n2 = 2 * M.N
     gens = [[level * int(i == j) for j in range(n2)] for i in range(n2)]
-    if M.r > 0:
-        steps, V = _level_steps(M, level)
-        for i, s in enumerate(steps):
-            gens.append([V[k][i] * s for k in range(n2)])
+    steps, V = _level_steps(M, level)
+    for i, s in enumerate(steps):
+        gens.append([V[k][i] * s for k in range(n2)])
     return hnf_int(gens)
 
 
@@ -550,22 +517,12 @@ def sum_and_intersection(
     """
     _check_same(H.disc, H.N, K.disc, K.N)
     disc, N = H.disc, H.N
-    stacked = [list(r) for r in H.rows] + [list(r) for r in K.rows]
-    if stacked:
-        # saturation of a possibly dependent stack: annihilate its kernel
-        kern = _right_kernel(stacked, disc, N)
-        inter_rows = _right_kernel(kern, disc, N)
-        inter = hnf(SubgroupMatrix(disc, N, inter_rows, check_rank=False))
-    else:
-        inter = SubgroupMatrix(disc, N, [], check_rank=False)
+    # the row stack may be dependent; saturate annihilates its kernel
+    inter = saturate(SubgroupMatrix(disc, N, H.rows + K.rows, check_rank=False))
     dim_int = N - inter.r
-    k_h = _right_kernel(list(H.rows), disc, N)
-    k_k = _right_kernel(list(K.rows), disc, N)
-    sum_rows = _right_kernel(k_h + k_k, disc, N)
-    if sum_rows:
-        Msum = hnf(SubgroupMatrix(disc, N, sum_rows, check_rank=False))
-    else:
-        Msum = SubgroupMatrix(disc, N, [], check_rank=False)
+    kernels = _right_kernel(H.rows, disc, N) + _right_kernel(K.rows, disc, N)
+    sum_rows = _right_kernel(kernels, disc, N)
+    Msum = hnf(SubgroupMatrix(disc, N, sum_rows, check_rank=False))
     dim_sum = N - Msum.r
     assert dim_sum + dim_int == H.dim + K.dim
     return dim_sum, dim_int, Msum, inter
@@ -590,9 +547,7 @@ def intersection_cardinality(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 
 def _joint_lattice_rows(H: SubgroupMatrix, K: SubgroupMatrix) -> list[list[int]]:
-    kernels = _right_kernel(list(H.rows), H.disc, H.N) + _right_kernel(
-        list(K.rows), K.disc, K.N
-    )
+    kernels = _right_kernel(H.rows, H.disc, H.N) + _right_kernel(K.rows, K.disc, K.N)
     return _z_basis(kernels, H.disc)
 
 def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
@@ -606,7 +561,7 @@ def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 def parametrization(M: SubgroupMatrix) -> list[list[OrderElement]]:
     """An N x m matrix whose columns parametrize the connected kernel of M."""
-    cols = _right_kernel(list(M.rows), M.disc, M.N)
+    cols = _right_kernel(M.rows, M.disc, M.N)
     return _transpose(cols) if cols else [[] for _ in range(M.N)]
 
 
@@ -617,9 +572,7 @@ def orthogonal_complement(M: SubgroupMatrix) -> SubgroupMatrix:
     Its presenting matrix is the conjugate transpose of a kernel basis of M,
     so dim + dim-perp = N always holds.
     """
-    kernel = _right_kernel(list(M.rows), M.disc, M.N)
-    if not kernel:
-        return SubgroupMatrix(M.disc, M.N, [], check_rank=False)
+    kernel = _right_kernel(M.rows, M.disc, M.N)
     rows = [[e.conjugate() for e in v] for v in kernel]
     return hnf(SubgroupMatrix(M.disc, M.N, rows, check_rank=False))
 

@@ -17,7 +17,7 @@ from toran.mordell_weil import (
     orthogonality_certificate,
 )
 from toran.orders import EUCLIDEAN_DISCS, OrderElement, QuadRat
-from toran.subgroups import apply_matrix
+from toran.subgroups import SubgroupMatrix, apply_matrix
 
 DISCS = list(EUCLIDEAN_DISCS)
 
@@ -133,6 +133,17 @@ def test_minimal_coset_frozen():
     assert M.rows == ((OrderElement(-4, 2, 0), OrderElement(-4, -1, 0)),)
     assert zeta == x.torsion_point()
     assert zeta.level == 2 and zeta.coords[0] == OrderElement(-4, 1, 0)
+
+
+
+def test_minimal_coset_of_torsion_point():
+    # a torsion point lies in the zero-dimensional coset through itself
+    for disc in DISCS:
+        spec = ModuleSpec(disc, 2, [[1, 0], [0, 1]], torsion_order=3)
+        x = PointInEN.from_rows(spec, [[0, 0], [0, 0], [0, 0]], [1, 0, 2])
+        M, zeta, m = minimal_coset(x)
+        assert (m, zeta) == (0, x.torsion_point())
+        assert M == SubgroupMatrix.from_ints(disc, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def test_minimal_coset_properties():
