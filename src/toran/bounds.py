@@ -19,9 +19,9 @@ mnemonics for the bound families, one id per displayed inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 Frac = Fraction
 

@@ -27,7 +27,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
 from . import serialize
 from .bounds import BoundRangeError, evaluate_bound, exponent_identities
 from .enumeration import (

@@ -11,8 +11,10 @@ surrogate makes the output exactly the set of canonical labels within X.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .mordell_weil import PointInEN
-from .orders import EUCLIDEAN_DISCS, OrderElement, _elements_norm_le
+from .orders import EUCLIDEAN_DISCS, OrderElement, _elements_norm_le, canonicalizing_unit
 from .subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
@@ -21,8 +23,11 @@ from .subgroups import (
     _rank,
     _row_norm_product,
     degree_surrogate,
+    integer_model,
+    ints_to_vector,
     kernel_lattice_at_level,
     saturate,
+    vector_to_ints,
 )
 
 
@@ -90,7 +95,7 @@ def surrogate_degree(m: SubgroupMatrix) -> int:
 
 def _rows_within(disc: int, n_ambient: int, cap: int) -> list[tuple]:
     """Nonzero rows of length N with summed norms <= cap, with the sum."""
-    elems = _elements_norm_le(disc, cap)
+    elems = [(e.norm(), e) for e in _elements_norm_le(disc, cap)]
     rows = []
 
     def rec(prefix, used):
@@ -98,16 +103,15 @@ def _rows_within(disc: int, n_ambient: int, cap: int) -> list[tuple]:
             if used > 0:
                 rows.append((used, tuple(prefix)))
             return
-        for e in elems:
-            ne = e.norm()
+        for ne, e in elems:
             if used + ne > cap:
-                continue
+                break
             prefix.append(e)
             rec(prefix, used + ne)
             prefix.pop()
 
     rec([], 0)
-    rows.sort(key=lambda t: (t[0], tuple((e.a, e.b) for e in t[1])))
+    rows.sort(key=lambda t: (t[0], vector_to_ints(t[1])))
     return rows
 
 
@@ -188,30 +192,25 @@ def _enumerate_uncached(disc, n_ambient, dim, x_budget, budget):
     return tuple(sorted(seen.values(), key=sort_key))
 
 
-def _row_kills(row, coeff_rows) -> bool:
-    if not coeff_rows or not coeff_rows[0]:
-        return True
-    for k in range(len(coeff_rows[0])):
-        acc = None
-        for j, e in enumerate(row):
-            term = e * coeff_rows[j][k]
-            acc = term if acc is None else acc + term
-        if not acc.is_zero():
+def _row_kills(flat, model) -> bool:
+    """Whether the row with flat coordinates (a_1, b_1, ..., a_N, b_N) is
+    orthogonal to every row of the integer model of the coefficient
+    columns, i.e. kills the point's free part."""
+    for m in model:
+        if sum(map(mul, flat, m)):
             return False
     return True
 
 
-def _dedup_unit_rows(rows):
-    """One representative per unit-scaling class of rows."""
-    from .orders import canonicalizing_unit
-
+def _dedup_unit_rows(disc: int, flats) -> list[tuple]:
+    """The first flat row of each unit-scaling class, in input order, as
+    (summed norm, element row)."""
     seen = {}
-    for s, row in rows:
-        lead = next(e for e in row if not e.is_zero())
-        u = canonicalizing_unit(lead)
-        key = tuple((x.a, x.b) for x in ((u * e) for e in row))
-        seen.setdefault(key, (s, row))
-    return sorted(seen.values(), key=lambda t: (t[0], tuple((e.a, e.b) for e in t[1])))
+    for flat in flats:
+        row = ints_to_vector(disc, flat)
+        u = canonicalizing_unit(next(e for e in row if not e.is_zero()))
+        seen.setdefault(tuple(vector_to_ints([u * e for e in row])), row)
+    return [(sum(e.norm() for e in row), row) for row in seen.values()]
 
 
 def brute_force_minimal_coset(
@@ -225,10 +224,10 @@ def brute_force_minimal_coset(
     then by entries.  Returns (matrix, torsion part, dimension)."""
     disc = point.spec.disc
     n_ambient = point.N
-    coeff = point.coefficient_rows()
-    all_rows = _rows_for(disc, n_ambient, x_budget)
-    killing = [t for t in all_rows if _row_kills(t[1], coeff)]
-    killing = _dedup_unit_rows(killing)
+    model = integer_model(zip(*point.coefficient_rows()), disc, n_ambient)
+    killing = _dedup_unit_rows(
+        disc, (f for f in _rows_for(disc, n_ambient, x_budget) if _row_kills(f, model))
+    )
     kill_rank = _rank([row for _, row in killing])
 
     examined = 0
@@ -285,7 +284,10 @@ _ROWS_CACHE: dict = {}
 
 
 def _rows_for(disc: int, n_ambient: int, cap: int) -> list[tuple]:
+    """The rows of _rows_within as flat integer coordinates, in its order."""
     key = (disc, n_ambient, cap)
     if key not in _ROWS_CACHE:
-        _ROWS_CACHE[key] = _rows_within(disc, n_ambient, cap)
+        _ROWS_CACHE[key] = [
+            tuple(vector_to_ints(row)) for _, row in _rows_within(disc, n_ambient, cap)
+        ]
     return _ROWS_CACHE[key]

@@ -22,22 +22,26 @@ class DiscMismatchError(ValueError):
     """Raised when operands live over different discriminants."""
 
 
+# (trace of w, norm of w) per discriminant: w satisfies w^2 - t*w + n0 = 0,
+# with t = 0 for even discriminants and 1 for odd ones, and n0 = (t*t - disc)/4
+_OMEGA = {d: (d % 2, (d % 2 - d) // 4) for d in EUCLIDEAN_DISCS}
+
+
 def _check_disc(disc: int) -> None:
-    if disc not in EUCLIDEAN_DISCS:
+    if disc not in _OMEGA:
         raise ValueError(f"discriminant {disc} is not one of {EUCLIDEAN_DISCS}")
 
 
 def trace_omega(disc: int) -> int:
     """Trace of the generator w: 0 for even discriminants, 1 for odd."""
     _check_disc(disc)
-    return 0 if disc % 4 == 0 else 1
+    return _OMEGA[disc][0]
 
 
 def norm_omega(disc: int) -> int:
     """Norm of the generator w, i.e. the constant term of its minimal polynomial."""
     _check_disc(disc)
-    t = 0 if disc % 4 == 0 else 1
-    return (t * t - disc) // 4
+    return _OMEGA[disc][1]
 
 
 class OrderElement:
@@ -105,8 +109,7 @@ class OrderElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t = trace_omega(self.disc)
-        n0 = norm_omega(self.disc)
+        t, n0 = _OMEGA[self.disc]
         a, b, c, d = self.a, self.b, other.a, other.b
         return OrderElement(self.disc, a * c - n0 * b * d, a * d + b * c + t * b * d)
 
@@ -141,17 +144,15 @@ class OrderElement:
         return self.a != 0 or self.b != 0
 
     def conjugate(self) -> OrderElement:
-        t = trace_omega(self.disc)
-        return OrderElement(self.disc, self.a + t * self.b, -self.b)
+        return OrderElement(self.disc, self.a + _OMEGA[self.disc][0] * self.b, -self.b)
 
     def norm(self) -> int:
         """The field norm, a non-negative rational integer."""
-        t = trace_omega(self.disc)
-        n0 = norm_omega(self.disc)
+        t, n0 = _OMEGA[self.disc]
         return self.a * self.a + t * self.a * self.b + n0 * self.b * self.b
 
     def trace(self) -> int:
-        return 2 * self.a + trace_omega(self.disc) * self.b
+        return 2 * self.a + _OMEGA[self.disc][0] * self.b
 
     def is_unit(self) -> bool:
         return self.norm() == 1
@@ -221,31 +222,24 @@ def units(disc: int) -> tuple[OrderElement, ...]:
     return tuple(out)
 
 
+def canonicalizing_unit(x: OrderElement) -> OrderElement:
+    """The unit u with u*x == canonical_associate(x); 1 for zero."""
+    # (a, b) > (0, 0) exactly when a > 0, or a = 0 and b > 0
+    best_key, best_u = (0, 0), units(x.disc)[0]
+    for u in units(x.disc):
+        y = u * x
+        if (y.a, y.b) > best_key:
+            best_key, best_u = (y.a, y.b), u
+    return best_u
+
+
 def canonical_associate(x: OrderElement) -> OrderElement:
     """The canonical representative among the unit multiples of ``x``.
 
     Among associates with a > 0, or a = 0 and b > 0, the lexicographically
     largest coordinate pair (a, b) is chosen; zero is its own representative.
     """
-    if x.is_zero():
-        return x
-    best = None
-    for u in units(x.disc):
-        y = u * x
-        if y.a > 0 or (y.a == 0 and y.b > 0):
-            if best is None or (y.a, y.b) > (best.a, best.b):
-                best = y
-    assert best is not None
-    return best
-
-
-def canonicalizing_unit(x: OrderElement) -> OrderElement:
-    """The unit u with u*x == canonical_associate(x)."""
-    target = canonical_associate(x)
-    for u in units(x.disc):
-        if u * x == target:
-            return u
-    raise AssertionError("unreachable")
+    return canonicalizing_unit(x) * x
 
 
 def _division_candidates(x: OrderElement, y: OrderElement) -> Iterator[OrderElement]:
@@ -388,8 +382,7 @@ class QuadRat:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t = trace_omega(self.disc)
-        n0 = norm_omega(self.disc)
+        t, n0 = _OMEGA[self.disc]
         a, b, c, d = self.x, self.y, other.x, other.y
         return QuadRat(self.disc, a * c - n0 * b * d, a * d + b * c + t * b * d)
 
@@ -424,20 +417,18 @@ class QuadRat:
         return self.x != 0 or self.y != 0
 
     def conjugate(self) -> QuadRat:
-        t = trace_omega(self.disc)
-        return QuadRat(self.disc, self.x + t * self.y, -self.y)
+        return QuadRat(self.disc, self.x + _OMEGA[self.disc][0] * self.y, -self.y)
 
     def norm(self) -> Fraction:
-        t = trace_omega(self.disc)
-        n0 = norm_omega(self.disc)
+        t, n0 = _OMEGA[self.disc]
         return self.x * self.x + t * self.x * self.y + n0 * self.y * self.y
 
     def trace(self) -> Fraction:
-        return 2 * self.x + trace_omega(self.disc) * self.y
+        return 2 * self.x + _OMEGA[self.disc][0] * self.y
 
     def rational_part(self) -> Fraction:
         """The coefficient of 1 in the basis (1, sqrt(disc)); equals trace/2."""
-        return self.x + Fraction(trace_omega(self.disc) * self.y, 2)
+        return self.x + Fraction(_OMEGA[self.disc][0] * self.y, 2)
 
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .mordell_weil import ModulePoint, ModuleSpec, PointInEN
+from .mordell_weil import ModuleSpec, PointInEN
 from .orders import OrderElement, QuadRat, format_element, parse_element
 from .subgroups import SubgroupMatrix, TorsionPoint
 

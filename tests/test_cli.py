@@ -127,6 +127,19 @@ def test_sweep(capsys, tmp_path):
     assert lines[2].startswith("4,1,1,2,3,1/2,")
 
 
+def test_readme_sweep_example(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = next(ln for ln in readme.splitlines() if "--sweep params.csv" in ln)
+    (tmp_path / "params.csv").write_text("N,d,hV,degV,ktorV\n3,1,1,2,4\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, line.split()[1:])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "N,d,hV,degV,ktorV,value,value_float,value_exact"
+    assert len(lines) == 2 and lines[1].startswith("3,1,1,2,4,")
+    assert len(lines[1].split(",")) == 8
+
+
 def test_classify(capsys, tmp_path):
     spec = ModuleSpec(-3, 1, [[1]])
     x = PointInEN.from_rows(spec, [[1], [2], [3]])

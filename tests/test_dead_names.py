@@ -5,6 +5,9 @@ src/ or tests/.  A name with no reference is dead code and should be deleted.
 References are found with the standard-library ``ast`` module: loaded names,
 attribute names and names imported with ``from ... import``.  Dunder names
 such as ``__version__`` are exempt.
+
+Every name a module imports is also loaded in that module, except for
+``from __future__`` imports and the re-exports of ``__init__.py``.
 """
 
 import ast
@@ -71,11 +74,34 @@ def unreferenced_names(src_files, test_files) -> list[str]:
     return sorted(dead)
 
 
+def unused_imports(src_files) -> list[str]:
+    unused = []
+    for path in src_files:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loaded = {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.stem}.{bound}")
+    return sorted(unused)
+
+
 def test_no_dead_names():
     src_files = sorted(PACKAGE.glob("*.py"))
     test_files = sorted((ROOT / "tests").glob("*.py"))
     assert src_files and test_files
     assert unreferenced_names(src_files, test_files) == []
+    assert unused_imports(src_files) == []
 
 
 def test_guard_reports_an_unused_helper(tmp_path):
@@ -102,3 +128,20 @@ def test_guard_reports_an_unused_helper(tmp_path):
     test = tmp_path / "test_mod.py"
     test.write_text("from mod import Box\n\ndef test_box():\n    assert Box().size()\n")
     assert unreferenced_names([module], [test]) == ["mod.Box.unused", "mod.recursive"]
+
+
+def test_guard_reports_an_unused_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "\n"
+        "import os.path\n"
+        "import re as regex\n"
+        "from math import comb, gcd\n"
+        "\n"
+        "def f(n):\n"
+        "    return gcd(n, 4) + len(os.sep)\n"
+    )
+    init = tmp_path / "__init__.py"
+    init.write_text("from .mod import f\n")
+    assert unused_imports([module, init]) == ["mod.comb", "mod.regex"]

@@ -1,10 +1,14 @@
 """Exhaustive listings and the brute-force minimal-coset oracle."""
 
+import itertools
 import random
 
 import pytest
 
 from toran.enumeration import (
+    _row_kills,
+    _rows_for,
+    _rows_within,
     brute_force_minimal_coset,
     count_torsion_points,
     enumerate_subgroups,
@@ -12,13 +16,16 @@ from toran.enumeration import (
     surrogate_degree,
 )
 from toran.mordell_weil import ModuleSpec, PointInEN, minimal_coset
-from toran.orders import EUCLIDEAN_DISCS, OrderElement
+from toran.orders import EUCLIDEAN_DISCS, OrderElement, _dot
 from toran.subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
     hnf,
+    integer_model,
+    ints_to_vector,
     kernel_lattice_at_level,
     saturate,
+    vector_to_ints,
 )
 
 DISCS = list(EUCLIDEAN_DISCS)
@@ -188,3 +195,40 @@ def test_brute_force_budget_semantics():
     M, _, _ = minimal_coset(x)
     assert bm == M
     assert bm.rows == ((OrderElement(-4, 4, 0), OrderElement(-4, -3, 0)),)
+
+
+def test_row_kills_matches_order_dot():
+    # the integer kill test against the dot product over the order, column
+    # by column; zero columns and rows built to kill one column make rows
+    # that kill some columns but not all
+    rng = random.Random(1010)
+    partial = full = 0
+    for disc, n, rank, _ in itertools.product(DISCS, (1, 2, 3), (0, 1, 2), range(6)):
+        zero = OrderElement.zero(disc)
+        columns = [
+            [OrderElement(disc, rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            for _ in range(rank)
+        ]
+        if rank and rng.random() < 0.3:
+            columns[0] = [zero] * n
+        rows = [list(row) for _, row in _rows_within(disc, n, 3)]
+        candidates = rng.sample(rows, min(12, len(rows)))
+        if n >= 2:
+            candidates += [[col[1], -col[0]] + [zero] * (n - 2) for col in columns]
+        model = integer_model(columns, disc, n)
+        for row in candidates:
+            kills = [_dot(disc, row, col).is_zero() for col in columns]
+            assert _row_kills(tuple(vector_to_ints(row)), model) == all(kills)
+            partial += any(kills) and not all(kills)
+            full += rank > 0 and all(kills)
+    assert partial > 0 and full > 0
+
+
+def test_row_cache_holds_flat_rows():
+    for disc in DISCS:
+        for n in (1, 2, 3):
+            rows = _rows_within(disc, n, 4)
+            cached = _rows_for(disc, n, 4)
+            assert [ints_to_vector(disc, flat) for flat in cached] == [
+                list(row) for _, row in rows
+            ]

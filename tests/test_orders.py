@@ -76,6 +76,18 @@ def test_omega_data():
         assert w * w == OrderElement(disc, -n0, t)
 
 
+@pytest.mark.parametrize("disc", [-5, -19, 0, -12, 5])
+def test_unsupported_discriminant_rejected(disc):
+    with pytest.raises(ValueError):
+        OrderElement(disc, 1, 0)
+    with pytest.raises(ValueError):
+        QuadRat(disc, Fraction(1, 2), 0)
+    with pytest.raises(ValueError):
+        trace_omega(disc)
+    with pytest.raises(ValueError):
+        norm_omega(disc)
+
+
 def test_unit_groups():
     counts = {-3: 6, -4: 4, -7: 2, -8: 2, -11: 2}
     for disc in DISCS:
@@ -94,6 +106,12 @@ def test_canonical_associate_properties(x):
     if not x.is_zero():
         assert canonicalizing_unit(x) * x == c
         assert c.a > 0 or (c.a == 0 and c.b > 0)
+        # the lexicographically largest associate in that half-plane
+        for u in units(x.disc):
+            y = u * x
+            assert not (y.a > 0 or (y.a == 0 and y.b > 0)) or (y.a, y.b) <= (c.a, c.b)
+    else:
+        assert canonicalizing_unit(x) == OrderElement.one(x.disc)
 
 
 def test_parse_format_round_trip():
