@@ -139,11 +139,12 @@ def enumerate_subgroups(
     if x_budget < 1:
         raise ValueError("need a positive surrogate budget")
     key = (disc, n_ambient, dim, x_budget)
-    if key in _SUBGROUP_CACHE:
-        result = _SUBGROUP_CACHE[key]
-    else:
+    result = _SUBGROUP_CACHE.get(key)
+    if result is None:
         result = _enumerate_uncached(disc, n_ambient, dim, x_budget, budget)
         _SUBGROUP_CACHE[key] = result
+        if len(_SUBGROUP_CACHE) > 16:  # drop the oldest, so memory stays flat
+            del _SUBGROUP_CACHE[next(iter(_SUBGROUP_CACHE))]
     if witness_level is not None:
         lattices = {kernel_lattice_at_level(m, witness_level) for m in result}
         assert len(lattices) == len(result)

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator
+from typing import Iterable
 
 EUCLIDEAN_DISCS = (-3, -4, -7, -8, -11)
 
@@ -52,8 +52,8 @@ class OrderElement:
     def __init__(self, disc: int, a: int, b: int):
         _check_disc(disc)
         object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "a", int(a))
-        object.__setattr__(self, "b", int(b))
+        object.__setattr__(self, "a", a if type(a) is int else _integral(a))
+        object.__setattr__(self, "b", b if type(b) is int else _integral(b))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrderElement is immutable")
@@ -174,6 +174,13 @@ def _integral(v) -> int:
     return n
 
 
+def _rational(v) -> Fraction:
+    # a binary float is refused, not imported with its rounding error
+    if not isinstance(v, (int, Fraction, str)):
+        raise ValueError(f"{v!r} is not rational")
+    return Fraction(v)
+
+
 def _as_element(disc: int, e) -> OrderElement:
     """``e`` as an element over ``disc``: an OrderElement of that
     discriminant, an (a, b) pair, or an integral value."""
@@ -242,18 +249,34 @@ def canonical_associate(x: OrderElement) -> OrderElement:
     return canonicalizing_unit(x) * x
 
 
-def _division_candidates(x: OrderElement, y: OrderElement) -> Iterator[OrderElement]:
-    # Exact rational coordinates of x/y, then a 4x4 integer window around them.
-    # The window provably contains every q with norm(x - q*y) < norm(y): the
-    # smallest eigenvalue of the norm form over the five discriminants is 1/2.
-    ny = y.norm()
-    num = x * y.conjugate()
-    u = Fraction(num.a, ny)
-    v = Fraction(num.b, ny)
-    fu, fv = u.__floor__(), v.__floor__()
+def _nearest(disc: int, xa: int, xb: int, ya: int, yb: int, by_remainder: bool):
+    """(m, n) with q = m + n*w of least norm(x - q*y), for x = xa + xb*w and
+    y = ya + yb*w != 0.  Ties go to the least (m, n), or with ``by_remainder``
+    to the least (a, b) of x - q*y.
+
+    The 4x4 window around floor(x/y) holds every q with norm(x - q*y) <
+    norm(y): the norm form's least eigenvalue is 1/2 on all five orders.
+    The integer key norm(x*conj(y) - q*norm(y)) is norm(y) * norm(x - q*y).
+    """
+    t, n0 = _OMEGA[disc]
+    c = ya + t * yb  # conj(y) = c - yb*w
+    A = xa * c + n0 * xb * yb
+    B = xb * c - xa * yb - t * xb * yb
+    ny = ya * c + n0 * yb * yb
+    fu, fv = A // ny, B // ny
+    best = None
     for m in range(fu - 1, fu + 3):
+        u = A - m * ny
         for n in range(fv - 1, fv + 3):
-            yield OrderElement(x.disc, m, n)
+            v = B - n * ny
+            key = u * u + (t * u + n0 * v) * v
+            if best is None or key < best:
+                best, q = key, (m, n)
+            elif by_remainder and key == best:
+                rem = lambda m, n: (xa - m * ya + n0 * n * yb, xb - m * yb - n * c)
+                if rem(m, n) < rem(*q):
+                    q = (m, n)
+    return q
 
 
 def euclid_div(x: OrderElement, y: OrderElement) -> tuple[OrderElement, OrderElement]:
@@ -268,13 +291,8 @@ def euclid_div(x: OrderElement, y: OrderElement) -> tuple[OrderElement, OrderEle
         raise ZeroDivisionError("euclidean division by zero")
     if x.disc != y.disc:
         raise DiscMismatchError(f"discriminants differ: {x.disc} vs {y.disc}")
-    best = None
-    for q in _division_candidates(x, y):
-        r = x - q * y
-        key = (r.norm(), q.a, q.b)
-        if best is None or key < best[0]:
-            best = (key, q, r)
-    _, q, r = best
+    q = OrderElement(x.disc, *_nearest(x.disc, x.a, x.b, y.a, y.b, False))
+    r = x - q * y
     assert r.norm() < y.norm()
     return q, r
 
@@ -285,16 +303,12 @@ def canonical_residue(x: OrderElement, mod: OrderElement) -> OrderElement:
     Unlike the euclid_div remainder this map is idempotent, which makes the
     echelon forms built on it canonical.
     """
+    if x.disc != mod.disc:
+        raise DiscMismatchError(f"discriminants differ: {x.disc} vs {mod.disc}")
     if mod.is_zero():
         return x
-    best = None
-    for q in _division_candidates(x, mod):
-        r = x - q * mod
-        key = (r.norm(), r.a, r.b)
-        if best is None or key < best:
-            best = key
-            best_r = r
-    return best_r
+    q = OrderElement(x.disc, *_nearest(x.disc, x.a, x.b, mod.a, mod.b, True))
+    return x - q * mod
 
 
 def exact_div(x: OrderElement, y: OrderElement) -> OrderElement:
@@ -323,8 +337,8 @@ class QuadRat:
     def __init__(self, disc: int, x, y):
         _check_disc(disc)
         object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "x", _rational(x))
+        object.__setattr__(self, "y", _rational(y))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadRat is immutable")
@@ -342,18 +356,12 @@ class QuadRat:
         return cls(disc, 1, 0)
 
     def _coerce(self, other) -> QuadRat:
-        if isinstance(other, QuadRat):
+        if isinstance(other, (QuadRat, OrderElement)):
             if other.disc != self.disc:
                 raise DiscMismatchError(
                     f"discriminants differ: {self.disc} vs {other.disc}"
                 )
-            return other
-        if isinstance(other, OrderElement):
-            if other.disc != self.disc:
-                raise DiscMismatchError(
-                    f"discriminants differ: {self.disc} vs {other.disc}"
-                )
-            return QuadRat.from_order(other)
+            return other if isinstance(other, QuadRat) else QuadRat.from_order(other)
         if isinstance(other, (int, Fraction)):
             return QuadRat(self.disc, other, 0)
         return NotImplemented

@@ -20,10 +20,8 @@ from .orders import (
     QuadRat,
     _as_element,
     _dot,
-    canonical_residue,
+    _nearest,
     canonicalizing_unit,
-    euclid_div,
-    exact_div,
     norm_omega,
     trace_omega,
 )
@@ -42,10 +40,6 @@ def _check_same(disc: int, n: int, other_disc: int, other_n: int) -> None:
         raise DiscMismatchError(f"discriminants differ: {disc} vs {other_disc}")
     if n != other_n:
         raise ValueError(f"ambient powers differ: {n} vs {other_n}")
-
-
-def _norm_key(x: OrderElement):
-    return (x.norm(), x.a, x.b)
 
 
 class SubgroupMatrix:
@@ -117,40 +111,52 @@ def _identity(disc: int, n: int) -> list[list[OrderElement]]:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _reduce(R: list[int], P: list[int], a: int, disc: int, by_remainder: bool) -> None:
+    """R -= q*P in place on flat rows (a1, b1, a2, b2, ...), where q is the
+    nearest quotient of the entry (R[a], R[a+1]) by (P[a], P[a+1])."""
+    m, n = _nearest(disc, R[a], R[a + 1], P[a], P[a + 1], by_remainder)
+    t, n0 = trace_omega(disc), norm_omega(disc)
+    for j in range(0, len(R), 2):
+        pa, pb = P[j], P[j + 1]
+        R[j] -= m * pa - n0 * n * pb
+        R[j + 1] -= n * pa + (m + t * n) * pb
+
+
 def _echelon(rows, n_cols: int):
     """Row echelon form of the first ``n_cols`` columns by unimodular row
-    operations, on a copy of the rows.
+    operations, on flat integer copies (a1, b1, a2, b2, ...) of the rows.
 
-    Returns (E, pivots): row i of E leads in column pivots[i], and the rows
-    from len(pivots) on are zero in the first ``n_cols`` columns.  Further
-    columns take part in every row operation but never hold a pivot, so an
-    identity appended there records the transform.  The pivot is the entry
-    of least (norm, a, b), then of least row index.
+    Returns (E, pivots): flat row i of E leads in column pivots[i], and the
+    rows from len(pivots) on are zero in the first ``n_cols`` columns.
+    Further columns take part in every row operation but never hold a
+    pivot, so an identity appended there records the transform.  The pivot
+    is the entry of least (norm, a, b), then of least row index.
     """
-    E = [list(row) for row in rows]
-    m = len(E)
+    E = [vector_to_ints(row) for row in rows]
+    if not E or not n_cols:
+        return E, []
+    m, disc = len(E), rows[0][0].disc
+    t, n0 = trace_omega(disc), norm_omega(disc)
     pivots = []
     for c in range(n_cols):
         i = len(pivots)
         if i >= m:
             break
-        while True:
-            nz = [k for k in range(i, m) if E[k][c]]
-            if not nz:
+        a, b = 2 * c, 2 * c + 1
+
+        def pivot_key(k):
+            x, y = E[k][a], E[k][b]
+            return (x * x + t * x * y + n0 * y * y, x, y, k)
+
+        while nz := [k for k in range(i, m) if E[k][a] or E[k][b]]:
+            k0 = min(nz, key=pivot_key)
+            E[i], E[k0] = E[k0], E[i]
+            if len(nz) == 1:
                 break
-            k0 = min(nz, key=lambda k: (_norm_key(E[k][c]), k))
-            if k0 != i:
-                E[i], E[k0] = E[k0], E[i]
-            done = True
-            for k in range(i + 1, m):
-                if E[k][c]:
-                    q, _ = euclid_div(E[k][c], E[i][c])
-                    E[k] = [x - q * y for x, y in zip(E[k], E[i])]
-                    if E[k][c]:
-                        done = False
-            if done:
-                break
-        if E[i][c]:
+            for R in E[i + 1 :]:
+                if R[a] or R[b]:
+                    _reduce(R, E[i], a, disc, False)
+        if E[i][a] or E[i][b]:
             pivots.append(c)
     return E, pivots
 
@@ -176,7 +182,7 @@ def _right_kernel(rows, disc: int, n_cols: int) -> list[list[OrderElement]]:
     m = len(rows)
     aug = [[row[j] for row in rows] + e for j, e in enumerate(_identity(disc, n_cols))]
     E, pivots = _echelon(aug, m)
-    return [row[m:] for row in E[len(pivots):]]
+    return [ints_to_vector(disc, row[2 * m :]) for row in E[len(pivots) :]]
 
 
 def _left_kernel(rows, disc: int) -> list[list[OrderElement]]:
@@ -192,20 +198,18 @@ def hnf(M: SubgroupMatrix) -> SubgroupMatrix:
     entries above a pivot are minimal-(norm, a, b) residues, so the form is
     idempotent and identical for any two row bases of the same module.
     """
-    rows, pivots = _echelon(M.rows, M.N)
+    E, pivots = _echelon(M.rows, M.N)
     if len(pivots) != M.r:
         raise RankError("matrix rows are dependent")
     for i, c in enumerate(pivots):
-        u = canonicalizing_unit(rows[i][c])
+        a, b = 2 * c, 2 * c + 1
+        u = canonicalizing_unit(OrderElement(M.disc, E[i][a], E[i][b]))
         if not u == 1:
-            rows[i] = [u * e for e in rows[i]]
-        pivot = rows[i][c]
-        for k in range(i):
-            if rows[k][c]:
-                target = canonical_residue(rows[k][c], pivot)
-                q = exact_div(rows[k][c] - target, pivot)
-                if q:
-                    rows[k] = [x - q * y for x, y in zip(rows[k], rows[i])]
+            E[i] = vector_to_ints([u * e for e in ints_to_vector(M.disc, E[i])])
+        for R in E[:i]:
+            if R[a] or R[b]:
+                _reduce(R, E[i], a, M.disc, True)
+    rows = [ints_to_vector(M.disc, row) for row in E]
     return SubgroupMatrix(M.disc, M.N, rows, check_rank=False)
 
 
@@ -414,10 +418,7 @@ def integer_model(rows, disc: int, n_cols: int) -> list[list[int]]:
 
 
 def vector_to_ints(v: list[OrderElement]) -> list[int]:
-    out = []
-    for e in v:
-        out.extend((e.a, e.b))
-    return out
+    return [c for e in v for c in (e.a, e.b)]
 
 
 def ints_to_vector(disc: int, flat: list[int]) -> list[OrderElement]:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from toran.enumeration import (
+    _SUBGROUP_CACHE,
     _row_kills,
     _rows_for,
     _rows_within,
@@ -104,6 +105,18 @@ def test_enumerate_subgroups_frozen_rows():
     }
     got = {tuple((e.a, e.b) for e in m.rows[0]) for m in found}
     assert got == want
+
+
+def test_subgroup_cache_is_bounded():
+    _SUBGROUP_CACHE.clear()
+    first = enumerate_subgroups(-4, 2, 1, 2)
+    for disc in DISCS:
+        for x in range(1, 5):
+            enumerate_subgroups(disc, 1, 0, x)
+    assert len(_SUBGROUP_CACHE) <= 16
+    # an evicted key is enumerated again, to the same result
+    assert (-4, 2, 1, 2) not in _SUBGROUP_CACHE
+    assert enumerate_subgroups(-4, 2, 1, 2) == first
 
 
 def test_enumerate_subgroups_properties():

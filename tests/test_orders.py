@@ -1,5 +1,6 @@
 """Ring laws, division, canonical forms and parsing for the five orders."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -309,3 +310,88 @@ def test_pow_matches_repeated_multiplication(x):
     for k in range(4):
         assert x**k == acc
         acc = acc * x
+
+
+def _reference_division(x, y):
+    """The 4x4 scan around floor(x/y) in Fraction coordinates, with every
+    candidate built as an element: the euclid_div (q, r) with ties to the
+    least (m, n), the canonical residue with ties to the least (a, b), and
+    the number of candidates of least remainder norm."""
+    ny = y.norm()
+    num = x * y.conjugate()
+    fu = Fraction(num.a, ny).__floor__()
+    fv = Fraction(num.b, ny).__floor__()
+    cands = []
+    for m in range(fu - 1, fu + 3):
+        for n in range(fv - 1, fv + 3):
+            q = OrderElement(x.disc, m, n)
+            r = x - q * y
+            cands.append((r.norm(), q, r))
+    least = min(c[0] for c in cands)
+    _, q, r = min(cands, key=lambda c: (c[0], c[1].a, c[1].b))
+    residue = min(cands, key=lambda c: (c[0], c[2].a, c[2].b))[2]
+    return q, r, residue, sum(c[0] == least for c in cands)
+
+
+def _division_pairs(seed, count):
+    """Seeded (x, y) over all five orders with entries up to 3000; a third
+    of the divisors have entries in [-2, 2], units among them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        disc = rng.choice(DISCS)
+        x = OrderElement(disc, rng.randint(-3000, 3000), rng.randint(-3000, 3000))
+        k = 2 if rng.random() < 0.3 else 3000
+        y = OrderElement(disc, rng.randint(-k, k), rng.randint(-k, k))
+        if y:
+            out.append((x, y))
+    return out
+
+
+def test_division_matches_fraction_reference():
+    ties = 0
+    for x, y in _division_pairs(41, 20_000):
+        q, r, residue, n_least = _reference_division(x, y)
+        assert euclid_div(x, y) == (q, r)
+        assert canonical_residue(x, y) == residue
+        ties += n_least > 1
+    # halves and thirds of small divisors give equidistant lattice points
+    assert ties > 1000
+
+
+def test_division_frozen_bytes():
+    h = hashlib.sha256()
+    for x, y in _division_pairs(43, 2_000):
+        q, r = euclid_div(x, y)
+        h.update(repr((q, r, canonical_residue(x, y), gcd(x, y))).encode())
+    assert h.hexdigest() == (
+        "abeb434d9183891996f0767bdbb7198f8dbfaae8391487a7caaf8c3a5f60fce4"
+    )
+
+
+def test_division_rejects_mismatched_discriminants():
+    x = OrderElement(-4, 5, 1)
+    for y in (OrderElement(-3, 2, 1), OrderElement(-3, 0, 0)):
+        with pytest.raises(DiscMismatchError):
+            canonical_residue(x, y)
+    with pytest.raises(DiscMismatchError):
+        euclid_div(x, OrderElement(-3, 2, 1))
+
+
+def test_constructors_are_exact():
+    for a in (2.5, 0.1, Fraction(3, 2)):
+        with pytest.raises(ValueError, match="not an integer"):
+            OrderElement(-4, a, 0)
+        with pytest.raises(ValueError, match="not an integer"):
+            OrderElement(-4, 0, a)
+    for x in (0.1, 2.0, 1j):
+        with pytest.raises(ValueError, match="not rational"):
+            QuadRat(-4, x, 0)
+        with pytest.raises(ValueError, match="not rational"):
+            QuadRat(-4, 0, x)
+    e = OrderElement(-4, Fraction(4, 2), Fraction(-6, 3))
+    assert (type(e.a), type(e.b)) == (int, int) and e == OrderElement(-4, 2, -2)
+    z = QuadRat(-4, Fraction(4, 2), Fraction(1, 3))
+    assert (z.x, z.y) == (2, Fraction(1, 3))
+    assert QuadRat(-4, "3/2", 0) == Fraction(3, 2)
+    assert QuadRat(-4, Fraction(6, 3), 5).to_order() == OrderElement(-4, 2, 5)

@@ -12,7 +12,9 @@ from toran.subgroups import (
     RankError,
     SubgroupMatrix,
     TorsionPoint,
+    _det,
     _echelon,
+    _identity,
     _left_kernel,
     _rank,
     _right_kernel,
@@ -22,6 +24,7 @@ from toran.subgroups import (
     degree_surrogate,
     hnf,
     integer_model,
+    ints_to_vector,
     intersection_cardinality,
     intersection_exponent,
     is_anomalous,
@@ -328,6 +331,41 @@ def test_echelon_matches_integer_model():
         if kernel:
             d, _, _ = snf_int(_z_basis(kernel, disc))
             assert d == [1] * (2 * len(kernel))
+
+
+def test_echelon_edge_cases():
+    def e(a, b=0):
+        return OrderElement(-7, a, b)
+
+    # no rows, and rows with no columns (an r x 0 matrix)
+    assert _echelon([], 3) == ([], [])
+    assert _echelon([[], []], 0) == ([[], []], [])
+    assert _rank([]) == 0 and _rank([[], [], []]) == 0
+    # an all-zero first column: the pivots start in the second column
+    rows = [[e(0), e(2, 1), e(3)], [e(0), e(1, -1), e(0, 2)]]
+    E, pivots = _echelon(rows, 3)
+    assert pivots == [1, 2]
+    assert [row[:2] for row in E] == [[0, 0], [0, 0]]
+    assert ints_to_vector(-7, E[1])[1].is_zero()
+
+
+def test_echelon_records_the_transform():
+    # the _right_kernel layout [M^T | I]: the identity part of each reduced
+    # row is a unimodular U with U M^T equal to the reduced M^T part
+    rng = random.Random(59)
+    for k in range(40):
+        disc = DISCS[k % 5]
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = random_rows(rng, disc, m, n, rng.randint(0, min(m, n)))
+        cols = _transpose(rows)
+        aug = [col + ident for col, ident in zip(cols, _identity(disc, n))]
+        E, pivots = _echelon(aug, m)
+        U = [ints_to_vector(disc, flat)[m:] for flat in E]
+        assert _det(U).is_unit()
+        for flat, u in zip(E, U):
+            reduced = ints_to_vector(disc, flat)[:m]
+            assert reduced == [_dot(disc, u, row) for row in rows]
+        assert len(pivots) == _rank(rows)
 
 
 def test_intersection_cardinality_errors():
