@@ -19,6 +19,7 @@ mnemonics for the bound families, one id per displayed inequality.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -68,12 +69,25 @@ class BoundResult:
                 for t in self.terms
             ],
             "bases": {k: str(v) for k, v in sorted(self.bases.items())},
-            "value": str(self.value),
+            "value": exact_str(self.value),
             "value_exact": self.value_exact,
         }
         if self.value_lo is not None:
-            out["value_lo"] = str(self.value_lo)
+            out["value_lo"] = exact_str(self.value_lo)
         return out
+
+
+def exact_str(x) -> str:
+    """str(x) for an int or Fraction of any size.  CPython's int-to-str
+    digit limit is process-wide, so it is lifted for this conversion only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import sys
 from fractions import Fraction
 
 from . import serialize
-from .bounds import BoundRangeError, evaluate_bound, exponent_identities
+from .bounds import BoundRangeError, evaluate_bound, exact_str, exponent_identities
 from .enumeration import (
     count_torsion_points,
     enumerate_subgroups,
@@ -172,7 +172,7 @@ def _sweep(args, constants) -> int:
                 params[key] = Fraction(val)
         res = evaluate_bound(args.theorem, eta=eta, constants=constants, **params)
         out = dict(row)
-        out["value"] = str(res.value)
+        out["value"] = exact_str(res.value)
         out["value_float"] = _decimal_str(res.value)
         out["value_exact"] = str(res.value_exact)
         rows_out.append(out)

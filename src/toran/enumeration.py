@@ -11,10 +11,10 @@ surrogate makes the output exactly the set of canonical labels within X.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add
 
 from .mordell_weil import PointInEN
-from .orders import EUCLIDEAN_DISCS, OrderElement, _elements_norm_le, canonicalizing_unit
+from .orders import _OMEGA, EUCLIDEAN_DISCS, OrderElement, _elements_norm_le, units
 from .subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
@@ -27,7 +27,6 @@ from .subgroups import (
     ints_to_vector,
     kernel_lattice_at_level,
     saturate,
-    vector_to_ints,
 )
 
 
@@ -93,26 +92,46 @@ def surrogate_degree(m: SubgroupMatrix) -> int:
     return _row_norm_product(m.rows)
 
 
-def _rows_within(disc: int, n_ambient: int, cap: int) -> list[tuple]:
-    """Nonzero rows of length N with summed norms <= cap, with the sum."""
-    elems = [(e.norm(), e) for e in _elements_norm_le(disc, cap)]
-    rows = []
+def _killing_rows(disc: int, n_ambient: int, cap: int, model) -> list[tuple]:
+    """(summed norm, flat row) for each nonzero row of length N with summed
+    norms <= cap that the integer model kills, sorted by (sum, flat row),
+    where the flat row of (x_1, ..., x_N) is (a_1, b_1, ..., a_N, b_N).
 
-    def rec(prefix, used):
-        if len(prefix) == n_ambient:
-            if used > 0:
-                rows.append((used, tuple(prefix)))
-            return
-        for ne, e in elems:
+    A row kills iff sum_i B_i (a_i, b_i) = 0, with B_i the two columns of
+    coordinate i.  The first N - 1 coordinates are enumerated with their
+    running image; the last is looked up by image in a table kept in norm
+    order, so the work scales with the prefixes, not with the rows.  An
+    empty model kills every row.
+    """
+    elems = [(e.norm(), e.a, e.b) for e in _elements_norm_le(disc, cap)]
+    cols = [tuple(m[k] for m in model) for k in range(2 * n_ambient)]
+
+    def images(i):
+        xs, ys = cols[2 * i], cols[2 * i + 1]
+        return [(ne, a, b, tuple(a * x + b * y for x, y in zip(xs, ys))) for ne, a, b in elems]
+
+    last: dict = {}
+    for ne, a, b, img in images(n_ambient - 1):
+        last.setdefault(tuple(-v for v in img), []).append((ne, a, b))
+    steps = [images(i) for i in range(n_ambient - 1)]
+    out = []
+    stack = [(0, (), (0,) * len(model))]
+    while stack:
+        used, flat, img = stack.pop()
+        i = len(flat) // 2
+        if i < n_ambient - 1:
+            for ne, a, b, step in steps[i]:
+                if used + ne > cap:
+                    break
+                stack.append((used + ne, flat + (a, b), tuple(map(add, img, step))))
+            continue
+        for ne, a, b in last.get(img, ()):
             if used + ne > cap:
                 break
-            prefix.append(e)
-            rec(prefix, used + ne)
-            prefix.pop()
-
-    rec([], 0)
-    rows.sort(key=lambda t: (t[0], vector_to_ints(t[1])))
-    return rows
+            if used + ne:
+                out.append((used + ne, flat + (a, b)))
+    out.sort()
+    return out
 
 
 _SUBGROUP_CACHE: dict = {}
@@ -151,39 +170,47 @@ def enumerate_subgroups(
     return result
 
 
+def _row_choices(rows, r, cap, independent, start=0, chosen=(), prod=1):
+    """Choices of r rows from the (summed norm, row) list ``rows``, by
+    index in depth-first order, whose norm product stays within cap.
+
+    Indices may repeat unless ``independent``, which makes them strictly
+    increasing and drops every prefix of deficient rank.
+    """
+    if len(chosen) == r:
+        yield chosen
+        return
+    for i in range(start, len(rows)):
+        s, row = rows[i]
+        if prod * s > cap:
+            break
+        nxt = chosen + (row,)
+        if independent and _rank(nxt) != len(nxt):
+            continue
+        nxt_start = i + 1 if independent else i
+        yield from _row_choices(rows, r, cap, independent, nxt_start, nxt, prod * s)
+
+
 def _enumerate_uncached(disc, n_ambient, dim, x_budget, budget):
     r = n_ambient - dim
     if r == 0:
         return (SubgroupMatrix(disc, n_ambient, []),)
-    rows = _rows_within(disc, n_ambient, x_budget)
+    rows = _killing_rows(disc, n_ambient, x_budget, [])  # the empty model kills all
+    elems = {(e.a, e.b): e for e in _elements_norm_le(disc, x_budget)}
     seen: dict = {}
     examined = 0
-
-    def rec(start, chosen, prod):
-        nonlocal examined
-        if len(chosen) == r:
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(
-                    f"examined more than {budget} candidate matrices"
-                )
-            mat = SubgroupMatrix(
-                disc, n_ambient, [t[1] for t in chosen], check_rank=False
-            )
-            if _rank(mat.rows) < r:
-                return
-            canon = saturate(mat)
-            if canon.r != r or surrogate_degree(canon) > x_budget:
-                return
-            seen.setdefault(canon.rows, canon)
-            return
-        for i in range(start, len(rows)):
-            s, _ = rows[i]
-            if prod * s > x_budget:
-                break
-            rec(i, chosen + [rows[i]], prod * s)
-
-    rec(0, [], 1)
+    for chosen in _row_choices(rows, r, x_budget, False):
+        examined += 1
+        if examined > budget:
+            raise BudgetExceededError(f"examined more than {budget} candidate matrices")
+        vectors = [[elems[f[k : k + 2]] for k in range(0, len(f), 2)] for f in chosen]
+        mat = SubgroupMatrix(disc, n_ambient, vectors, check_rank=False)
+        if _rank(mat.rows) < r:
+            continue
+        canon = saturate(mat)
+        if canon.r != r or surrogate_degree(canon) > x_budget:
+            continue
+        seen.setdefault(canon.rows, canon)
 
     def sort_key(m):
         surr = degree_surrogate(m)
@@ -193,25 +220,31 @@ def _enumerate_uncached(disc, n_ambient, dim, x_budget, budget):
     return tuple(sorted(seen.values(), key=sort_key))
 
 
-def _row_kills(flat, model) -> bool:
-    """Whether the row with flat coordinates (a_1, b_1, ..., a_N, b_N) is
-    orthogonal to every row of the integer model of the coefficient
-    columns, i.e. kills the point's free part."""
-    for m in model:
-        if sum(map(mul, flat, m)):
-            return False
-    return True
+def _dedup_unit_rows(disc: int, rows) -> list[tuple]:
+    """The first of each unit-scaling class among (summed norm, flat) rows,
+    in input order, as (summed norm, element row).
 
-
-def _dedup_unit_rows(disc: int, flats) -> list[tuple]:
-    """The first flat row of each unit-scaling class, in input order, as
-    (summed norm, element row)."""
-    seen = {}
-    for flat in flats:
-        row = ints_to_vector(disc, flat)
-        u = canonicalizing_unit(next(e for e in row if not e.is_zero()))
-        seen.setdefault(tuple(vector_to_ints([u * e for e in row])), row)
-    return [(sum(e.norm() for e in row), row) for row in seen.values()]
+    Unit multiples are taken on the flat coordinates.  Every unit multiple
+    of a killing row kills and has the same summed norm, so each one is met
+    at most once and leaves the seen-set when met.
+    """
+    t, n0 = _OMEGA[disc]
+    others = [(u.a, u.b) for u in units(disc)[1:]]
+    seen = set()
+    out = []
+    for s, flat in rows:
+        if flat in seen:
+            seen.remove(flat)
+            continue
+        pairs = list(zip(flat[::2], flat[1::2]))
+        for ua, ub in others:
+            seen.add(tuple(
+                c
+                for a, b in pairs
+                for c in (ua * a - n0 * ub * b, ua * b + ub * a + t * ub * b)
+            ))
+        out.append((s, ints_to_vector(disc, flat)))
+    return out
 
 
 def brute_force_minimal_coset(
@@ -219,55 +252,31 @@ def brute_force_minimal_coset(
 ):
     """Smallest-dimension connected subgroup within the surrogate budget
     whose coset through the point contains it, found without the one-shot
-    kernel computation: every candidate row within the budget is tested
-    against the coefficient matrix, and maximal independent sets of killing
-    rows are assembled by direct search.  Ties are broken by minor sums,
-    then by entries.  Returns (matrix, torsion part, dimension)."""
+    kernel computation: every row within the budget that kills the
+    coefficient matrix in its integer model is listed, and maximal
+    independent sets of killing rows are assembled by direct search.  Ties
+    are broken by minor sums, then by entries.  Returns (matrix, torsion
+    part, dimension)."""
     disc = point.spec.disc
     n_ambient = point.N
     model = integer_model(zip(*point.coefficient_rows()), disc, n_ambient)
-    killing = _dedup_unit_rows(
-        disc, (f for f in _rows_for(disc, n_ambient, x_budget) if _row_kills(f, model))
-    )
+    killing = _dedup_unit_rows(disc, _killing_rows(disc, n_ambient, x_budget, model))
     kill_rank = _rank([row for _, row in killing])
 
     examined = 0
     for r in range(kill_rank, 0, -1):
         candidates: list[SubgroupMatrix] = []
-        # all maximal independent subsets span the same saturation, so the
-        # top level is decided by its first leaf
-        leaf_cap = 1 if r == kill_rank else None
-
-        class _Done(Exception):
-            pass
-
-        def rec(start, chosen, prod):
-            nonlocal examined
-            if len(chosen) == r:
-                examined += 1
-                if examined > budget:
-                    raise BudgetExceededError(
-                        f"examined more than {budget} candidate matrices"
-                    )
-                mat = SubgroupMatrix(disc, n_ambient, chosen, check_rank=False)
-                canon = saturate(mat)
-                if canon.r == r and surrogate_degree(canon) <= x_budget:
-                    candidates.append(canon)
-                if leaf_cap is not None and examined >= leaf_cap:
-                    raise _Done
-                return
-            for i in range(start, len(killing)):
-                s, row = killing[i]
-                if prod * s > x_budget:
-                    break
-                if _rank(chosen + [row]) != len(chosen) + 1:
-                    continue
-                rec(i + 1, chosen + [row], prod * s)
-
-        try:
-            rec(0, [], 1)
-        except _Done:
-            pass
+        for chosen in _row_choices(killing, r, x_budget, True):
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError(f"examined more than {budget} candidate matrices")
+            canon = saturate(SubgroupMatrix(disc, n_ambient, chosen, check_rank=False))
+            if canon.r == r and surrogate_degree(canon) <= x_budget:
+                candidates.append(canon)
+            if r == kill_rank:
+                # all maximal independent subsets span the same saturation,
+                # so the top level is decided by its first leaf
+                break
         if candidates:
             best = min(
                 candidates,
@@ -279,16 +288,3 @@ def brute_force_minimal_coset(
             return best, point.torsion_point(), n_ambient - r
     empty = SubgroupMatrix(disc, n_ambient, [])
     return empty, point.torsion_point(), n_ambient
-
-
-_ROWS_CACHE: dict = {}
-
-
-def _rows_for(disc: int, n_ambient: int, cap: int) -> list[tuple]:
-    """The rows of _rows_within as flat integer coordinates, in its order."""
-    key = (disc, n_ambient, cap)
-    if key not in _ROWS_CACHE:
-        _ROWS_CACHE[key] = [
-            tuple(vector_to_ints(row)) for _, row in _rows_within(disc, n_ambient, cap)
-        ]
-    return _ROWS_CACHE[key]

@@ -45,7 +45,8 @@ def _check_same(disc: int, n: int, other_disc: int, other_n: int) -> None:
 class SubgroupMatrix:
     """An r x N full-row-rank matrix over the order of discriminant ``disc``."""
 
-    __slots__ = ("disc", "N", "r", "rows")
+    # _smith: (d, V) of the integer model's Smith form, set on first use
+    __slots__ = ("disc", "N", "r", "rows", "_smith")
 
     def __init__(self, disc: int, n_ambient: int, rows, check_rank: bool = True):
         if n_ambient < 1:
@@ -436,18 +437,24 @@ def _z_basis(vectors, disc: int) -> list[list[int]]:
     return rows
 
 
-def _level_steps(M: SubgroupMatrix, level: int) -> tuple[list[int], list[list[int]]]:
+def _level_steps(M: SubgroupMatrix, level: int) -> tuple[list[int], tuple]:
     """Steps s_i and the column transform V such that M kills V*u mod level
     exactly when every u_i is a multiple of s_i.
 
     With diag(d) = U*A*V the Smith form of the integer model A, coordinate i
     needs d_i*u_i = 0 mod level, so s_i = level // gcd(d_i, level), and 1
-    where d_i = 0 or i lies beyond the rank.
+    where d_i = 0 or i lies beyond the rank.  (d, V) does not depend on the
+    level, so it is computed once per matrix and kept as tuples.
     """
     n2 = 2 * M.N
     if M.r == 0:
         return [1] * n2, [[int(i == j) for j in range(n2)] for i in range(n2)]
-    d, _, V = snf_int(integer_model(M.rows, M.disc, M.N))
+    smith = getattr(M, "_smith", None)
+    if smith is None:
+        d, _, V = snf_int(integer_model(M.rows, M.disc, M.N))
+        smith = (tuple(d), tuple(map(tuple, V)))
+        object.__setattr__(M, "_smith", smith)
+    d, V = smith
     steps = [
         level // int_gcd(d[i], level) if i < len(d) and d[i] != 0 else 1
         for i in range(n2)
@@ -499,8 +506,8 @@ def kernel_lattice_at_level(M: SubgroupMatrix, level: int) -> tuple:
     n2 = 2 * M.N
     gens = [[level * int(i == j) for j in range(n2)] for i in range(n2)]
     steps, V = _level_steps(M, level)
-    for i, s in enumerate(steps):
-        gens.append([V[k][i] * s for k in range(n2)])
+    for i, s in enumerate(steps):  # level * Z^2N lies in the lattice
+        gens.append([V[k][i] * s % level for k in range(n2)])
     return hnf_int(gens)
 
 

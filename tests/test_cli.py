@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import toran
+from toran.bounds import evaluate_bound, exact_str
 from toran.cli import main
 from toran.mordell_weil import ModuleSpec, PointInEN
 from toran.serialize import dumps_canonical, module_spec_to_json_dict
@@ -125,6 +126,23 @@ def test_sweep(capsys, tmp_path):
     assert lines[1].startswith("3,1,1,2,4,")
     assert ",36,36,True" in lines[1]
     assert lines[2].startswith("4,1,1,2,3,1/2,")
+
+
+def test_bounds_print_values_beyond_the_int_str_limit(capsys, tmp_path):
+    # mw_field at N = 5 has 4772 digits, above CPython's default limit of
+    # 4300; the limit is lifted for the conversion only
+    limit = sys.get_int_max_str_digits()
+    want = exact_str(evaluate_bound("mw_field", N=5).value)
+    assert len(want) == 4772 and sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(capsys, ["bounds", "--theorem", "mw_field", "--param", "N=5"])
+    assert code == 0
+    assert json.loads(out)["value"] == want
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text("N\n5\n")
+    code, out, _ = run_cli(capsys, ["bounds", "--theorem", "mw_field", "--sweep", str(csv_path)])
+    assert code == 0
+    assert out.splitlines()[1].split(",")[1] == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_readme_sweep_example(capsys, tmp_path, monkeypatch):

@@ -1,15 +1,16 @@
 """Exhaustive listings and the brute-force minimal-coset oracle."""
 
+import gc
 import itertools
 import random
+import time
 
 import pytest
 
 from toran.enumeration import (
     _SUBGROUP_CACHE,
-    _row_kills,
-    _rows_for,
-    _rows_within,
+    _dedup_unit_rows,
+    _killing_rows,
     brute_force_minimal_coset,
     count_torsion_points,
     enumerate_subgroups,
@@ -17,7 +18,13 @@ from toran.enumeration import (
     surrogate_degree,
 )
 from toran.mordell_weil import ModuleSpec, PointInEN, minimal_coset
-from toran.orders import EUCLIDEAN_DISCS, OrderElement, _dot
+from toran.orders import (
+    EUCLIDEAN_DISCS,
+    OrderElement,
+    _dot,
+    _elements_norm_le,
+    canonicalizing_unit,
+)
 from toran.subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
@@ -210,38 +217,85 @@ def test_brute_force_budget_semantics():
     assert bm.rows == ((OrderElement(-4, 4, 0), OrderElement(-4, -3, 0)),)
 
 
-def test_row_kills_matches_order_dot():
-    # the integer kill test against the dot product over the order, column
-    # by column; zero columns and rows built to kill one column make rows
-    # that kill some columns but not all
-    rng = random.Random(1010)
-    partial = full = 0
-    for disc, n, rank, _ in itertools.product(DISCS, (1, 2, 3), (0, 1, 2), range(6)):
-        zero = OrderElement.zero(disc)
-        columns = [
-            [OrderElement(disc, rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
-            for _ in range(rank)
-        ]
-        if rank and rng.random() < 0.3:
-            columns[0] = [zero] * n
-        rows = [list(row) for _, row in _rows_within(disc, n, 3)]
-        candidates = rng.sample(rows, min(12, len(rows)))
-        if n >= 2:
-            candidates += [[col[1], -col[0]] + [zero] * (n - 2) for col in columns]
-        model = integer_model(columns, disc, n)
-        for row in candidates:
-            kills = [_dot(disc, row, col).is_zero() for col in columns]
-            assert _row_kills(tuple(vector_to_ints(row)), model) == all(kills)
-            partial += any(kills) and not all(kills)
-            full += rank > 0 and all(kills)
-    assert partial > 0 and full > 0
+def _scan_killing(disc, n, cap, columns):
+    """Reference for the oracle's row search: every nonzero row within the
+    cap, from a plain product of element boxes, tested with the dot product
+    over the order, sorted by (summed norm, flat row)."""
+    elems = _elements_norm_le(disc, cap)
+    rows = []
+    for row in itertools.product(elems, repeat=n):
+        used = sum(e.norm() for e in row)
+        if 0 < used <= cap and all(_dot(disc, row, col).is_zero() for col in columns):
+            rows.append((used, tuple(vector_to_ints(row))))
+    return sorted(rows)
 
 
-def test_row_cache_holds_flat_rows():
-    for disc in DISCS:
-        for n in (1, 2, 3):
-            rows = _rows_within(disc, n, 4)
-            cached = _rows_for(disc, n, 4)
-            assert [ints_to_vector(disc, flat) for flat in cached] == [
-                list(row) for _, row in rows
+def _scan_dedup(disc, rows):
+    """Reference unit dedup: the first row of each class, keyed by the row
+    scaled with canonicalizing_unit of its first nonzero entry."""
+    seen = {}
+    for s, flat in rows:
+        row = ints_to_vector(disc, flat)
+        u = canonicalizing_unit(next(e for e in row if not e.is_zero()))
+        seen.setdefault(tuple(vector_to_ints([u * e for e in row])), (s, row))
+    return list(seen.values())
+
+
+def test_killing_rows_match_scan():
+    # the prefix search with a last-coordinate lookup against a full scan,
+    # and the integer unit dedup against canonicalizing_unit; a zero last
+    # coefficient makes the last block non-injective
+    rng = random.Random(1212)
+    zero_last = 0
+    for disc, n, rank in itertools.product(DISCS, (1, 2, 3, 4), (0, 1, 2)):
+        for cap in {1: (4, 9, 16), 2: (4, 9), 3: (4, 6), 4: (3,)}[n]:
+            columns = [
+                [OrderElement(disc, rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+                for _ in range(rank)
             ]
+            if rank and rng.random() < 0.3:
+                for col in columns:
+                    col[-1] = OrderElement.zero(disc)
+                zero_last += 1
+            killing = _killing_rows(disc, n, cap, integer_model(columns, disc, n))
+            want = _scan_killing(disc, n, cap, columns)
+            assert killing == want
+            got = [(s, list(row)) for s, row in _dedup_unit_rows(disc, killing)]
+            assert got == _scan_dedup(disc, want)
+    assert zero_last > 0
+
+
+def test_oracle_matches_kernel_method_at_n4():
+    # one N = 4 point per discriminant whose minimal coset is within the
+    # oracle budget
+    rng = random.Random(44)
+    for disc in DISCS:
+        rank = rng.choice([1, 2])
+        gram = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        spec = ModuleSpec(disc, rank, gram, torsion_order=2)
+        while True:
+            rows = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(4)]
+            x = PointInEN.from_rows(spec, rows, [rng.randrange(2) for _ in range(4)])
+            M, zeta, dim_b = minimal_coset(x)
+            if not M.r or surrogate_degree(M) <= 16:
+                break
+        start = time.perf_counter()
+        assert brute_force_minimal_coset(x, x_budget=16) == (M, zeta, dim_b)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_oracle_and_enumeration_leave_no_cycles():
+    # nothing from a call should wait for the cyclic garbage collector
+    x = rank_one_point(-3, [[1], [2], [0]], torsion_order=2, torsions=[1, 0, 1])
+    brute_force_minimal_coset(x)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_minimal_coset(x)
+        assert gc.collect() == 0
+        _SUBGROUP_CACHE.clear()
+        gc.collect()
+        enumerate_subgroups(-4, 2, 1, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
