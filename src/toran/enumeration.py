@@ -11,8 +11,10 @@ surrogate makes the output exactly the set of canonical labels within X.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 
+from .intlattice import rank_int
 from .mordell_weil import PointInEN
 from .orders import _OMEGA, EUCLIDEAN_DISCS, OrderElement, _elements_norm_le, units
 from .subgroups import (
@@ -92,9 +94,9 @@ def surrogate_degree(m: SubgroupMatrix) -> int:
     return _row_norm_product(m.rows)
 
 
-def _killing_rows(disc: int, n_ambient: int, cap: int, model) -> list[tuple]:
-    """(summed norm, flat row) for each nonzero row of length N with summed
-    norms <= cap that the integer model kills, sorted by (sum, flat row),
+def _killing_rows(disc: int, n_ambient: int, cap: int, model, low: int = 0) -> list[tuple]:
+    """(summed norm, flat row) for each row of length N with summed norms
+    in (low, cap] that the integer model kills, sorted by (sum, flat row),
     where the flat row of (x_1, ..., x_N) is (a_1, b_1, ..., a_N, b_N).
 
     A row kills iff sum_i B_i (a_i, b_i) = 0, with B_i the two columns of
@@ -103,7 +105,7 @@ def _killing_rows(disc: int, n_ambient: int, cap: int, model) -> list[tuple]:
     order, so the work scales with the prefixes, not with the rows.  An
     empty model kills every row.
     """
-    elems = [(e.norm(), e.a, e.b) for e in _elements_norm_le(disc, cap)]
+    elems = _norm_box(disc, cap)
     cols = [tuple(m[k] for m in model) for k in range(2 * n_ambient)]
 
     def images(i):
@@ -128,10 +130,40 @@ def _killing_rows(disc: int, n_ambient: int, cap: int, model) -> list[tuple]:
         for ne, a, b in last.get(img, ()):
             if used + ne > cap:
                 break
-            if used + ne:
+            if used + ne > low:
                 out.append((used + ne, flat + (a, b)))
     out.sort()
     return out
+
+
+@lru_cache(maxsize=64)
+def _norm_box(disc: int, cap: int) -> tuple[tuple, ...]:
+    """(norm, a, b) for each element of norm at most cap, sorted by norm."""
+    return tuple((e.norm(), e.a, e.b) for e in _elements_norm_le(disc, cap))
+
+
+def _killing_stages(disc: int, n_ambient: int, x_budget: int, model):
+    """_killing_rows within x_budget in stages of growing cap (1, 2, 4, 8,
+    then x_budget), each stage holding the rows above the previous cap."""
+    caps = [c for c in (1, 2, 4, 8) if c < x_budget] + [x_budget]
+    for low, cap in zip([0] + caps, caps):
+        yield _killing_rows(disc, n_ambient, cap, model, low)
+
+
+class _StagedRows(list):
+    """A sorted row list that ``grow`` extends by the next non-empty one of
+    ``stages``, each sorting after the last, or returns False at their end."""
+
+    def __init__(self, stages):
+        super().__init__()
+        self._stages = stages
+
+    def grow(self) -> bool:
+        for rows in self._stages:
+            if rows:
+                self.extend(rows)
+                return True
+        return False
 
 
 _SUBGROUP_CACHE: dict = {}
@@ -171,8 +203,9 @@ def enumerate_subgroups(
 
 
 def _row_choices(rows, r, cap, independent, start=0, chosen=(), prod=1):
-    """Choices of r rows from the (summed norm, row) list ``rows``, by
-    index in depth-first order, whose norm product stays within cap.
+    """Choices of r rows from the _StagedRows list ``rows`` of (summed norm,
+    row), by index in depth-first order, whose norm product stays within
+    cap.  The list grows only when the search reads past its end.
 
     Indices may repeat unless ``independent``, which makes them strictly
     increasing and drops every prefix of deficient rank.
@@ -180,14 +213,16 @@ def _row_choices(rows, r, cap, independent, start=0, chosen=(), prod=1):
     if len(chosen) == r:
         yield chosen
         return
-    for i in range(start, len(rows)):
+    i = start
+    while i < len(rows) or rows.grow():
         s, row = rows[i]
         if prod * s > cap:
             break
         nxt = chosen + (row,)
+        i += 1
         if independent and _rank(nxt) != len(nxt):
             continue
-        nxt_start = i + 1 if independent else i
+        nxt_start = i if independent else i - 1
         yield from _row_choices(rows, r, cap, independent, nxt_start, nxt, prod * s)
 
 
@@ -195,7 +230,7 @@ def _enumerate_uncached(disc, n_ambient, dim, x_budget, budget):
     r = n_ambient - dim
     if r == 0:
         return (SubgroupMatrix(disc, n_ambient, []),)
-    rows = _killing_rows(disc, n_ambient, x_budget, [])  # the empty model kills all
+    rows = _StagedRows(_killing_stages(disc, n_ambient, x_budget, []))  # all rows kill
     elems = {(e.a, e.b): e for e in _elements_norm_le(disc, x_budget)}
     seen: dict = {}
     examined = 0
@@ -252,16 +287,25 @@ def brute_force_minimal_coset(
 ):
     """Smallest-dimension connected subgroup within the surrogate budget
     whose coset through the point contains it, found without the one-shot
-    kernel computation: every row within the budget that kills the
-    coefficient matrix in its integer model is listed, and maximal
-    independent sets of killing rows are assembled by direct search.  Ties
-    are broken by minor sums, then by entries.  Returns (matrix, torsion
-    part, dimension)."""
+    kernel computation: rows within the budget that kill the coefficient
+    matrix in its integer model are listed, and maximal independent sets of
+    killing rows are assembled by direct search.  Ties are broken by minor
+    sums, then by entries.  Returns (matrix, torsion part, dimension).
+
+    Every killing row lies in the left kernel of the coefficient matrix, so
+    the kill rank is at most N - rank(model)/2.  Rows are listed in stages
+    until they reach that rank, and later only as the search reads them."""
     disc = point.spec.disc
     n_ambient = point.N
     model = integer_model(zip(*point.coefficient_rows()), disc, n_ambient)
-    killing = _dedup_unit_rows(disc, _killing_rows(disc, n_ambient, x_budget, model))
-    kill_rank = _rank([row for _, row in killing])
+    bound = n_ambient - rank_int(model) // 2
+    stages = _killing_stages(disc, n_ambient, x_budget, model)
+    killing = _StagedRows(_dedup_unit_rows(disc, rows) for rows in stages)
+    kill_rank = 0
+    while kill_rank < bound and killing.grow():
+        kill_rank = _rank([row for _, row in killing])
+    if kill_rank > bound:
+        raise AssertionError(f"killing rows of rank {kill_rank} exceed the kernel rank {bound}")
 
     examined = 0
     for r in range(kill_rank, 0, -1):

@@ -2,9 +2,9 @@
 
 Elements are written ``a + b*w`` where ``w`` depends on the discriminant:
 ``w = sqrt(disc)/2`` for even discriminants and ``w = (1 + sqrt(disc))/2``
-for odd ones.  Everything is exact: coordinates are Python integers (or
-:class:`fractions.Fraction` for field elements) and norms are computed from
-the integral binary form of the order, never from floats.
+for odd ones.  Everything is exact: coordinates are Python integers (over a
+common denominator for field elements) and norms are computed from the
+integral binary form of the order, never from floats.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from typing import Iterable
 
 EUCLIDEAN_DISCS = (-3, -4, -7, -8, -11)
@@ -330,22 +330,27 @@ def gcd(x: OrderElement, y: OrderElement) -> OrderElement:
 
 
 class QuadRat:
-    """An element of the quadratic field, with Fraction coordinates over (1, w)."""
+    """An element (p + q*w)/d of the quadratic field, stored as integers with
+    d > 0 and gcd(p, q, d) = 1; its coordinates over (1, w) are x = p/d and
+    y = q/d."""
 
-    __slots__ = ("disc", "x", "y")
+    __slots__ = ("disc", "p", "q", "d")
 
-    def __init__(self, disc: int, x, y):
+    def __new__(cls, disc: int, x, y):
         _check_disc(disc)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "x", _rational(x))
-        object.__setattr__(self, "y", _rational(y))
+        x, y = _rational(x), _rational(y)
+        d = int_lcm(x.denominator, y.denominator)
+        return _quad(disc, x.numerator * d // x.denominator, y.numerator * d // y.denominator, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadRat is immutable")
 
+    x = property(lambda self: Fraction(self.p, self.d))
+    y = property(lambda self: Fraction(self.q, self.d))
+
     @classmethod
     def from_order(cls, e: OrderElement) -> QuadRat:
-        return cls(e.disc, e.a, e.b)
+        return _quad(e.disc, e.a, e.b, 1)
 
     @classmethod
     def zero(cls, disc: int) -> QuadRat:
@@ -363,14 +368,15 @@ class QuadRat:
                 )
             return other if isinstance(other, QuadRat) else QuadRat.from_order(other)
         if isinstance(other, (int, Fraction)):
-            return QuadRat(self.disc, other, 0)
+            return _quad(self.disc, other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __add__(self, other) -> QuadRat:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadRat(self.disc, self.x + other.x, self.y + other.y)
+        d, e = self.d, other.d
+        return _quad(self.disc, self.p * e + other.p * d, self.q * e + other.q * d, d * e)
 
     __radd__ = __add__
 
@@ -378,21 +384,19 @@ class QuadRat:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadRat(self.disc, self.x - other.x, self.y - other.y)
+        d, e = self.d, other.d
+        return _quad(self.disc, self.p * e - other.p * d, self.q * e - other.q * d, d * e)
 
     def __rsub__(self, other) -> QuadRat:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return -self + other
 
     def __mul__(self, other) -> QuadRat:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         t, n0 = _OMEGA[self.disc]
-        a, b, c, d = self.x, self.y, other.x, other.y
-        return QuadRat(self.disc, a * c - n0 * b * d, a * d + b * c + t * b * d)
+        a, b, c, e = self.p, self.q, other.p, other.q
+        return _quad(self.disc, a * c - n0 * b * e, a * e + b * c + t * b * e, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -400,54 +404,68 @@ class QuadRat:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.norm()
-        if n == 0:
+        if not other:
             raise ZeroDivisionError("division by zero field element")
-        num = self * other.conjugate()
-        return QuadRat(self.disc, num.x / n, num.y / n)
+        # 1/other = conj(other)/norm(other), with conj(p + e*w) = c - e*w
+        t, n0 = _OMEGA[self.disc]
+        e, c, f = other.q, other.p + t * other.q, other.d
+        return self * _quad(self.disc, c * f, -e * f, other.p * c + n0 * e * e)
 
     def __neg__(self) -> QuadRat:
-        return QuadRat(self.disc, -self.x, -self.y)
+        return _quad(self.disc, -self.p, -self.q, self.d)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.x == other and self.y == 0
+            return self.q == 0 and (self.p, self.d) == (other.numerator, other.denominator)
         if isinstance(other, OrderElement):
-            return self.disc == other.disc and self.x == other.a and self.y == other.b
+            return (self.disc, self.p, self.q, self.d) == (other.disc, other.a, other.b, 1)
         if not isinstance(other, QuadRat):
             return NotImplemented
-        return (self.disc, self.x, self.y) == (other.disc, other.x, other.y)
+        return (self.disc, self.p, self.q, self.d) == (other.disc, other.p, other.q, other.d)
 
     def __hash__(self):
         return hash((self.disc, self.x, self.y))
 
     def __bool__(self) -> bool:
-        return self.x != 0 or self.y != 0
+        return self.p != 0 or self.q != 0
 
     def conjugate(self) -> QuadRat:
-        return QuadRat(self.disc, self.x + _OMEGA[self.disc][0] * self.y, -self.y)
+        return _quad(self.disc, self.p + _OMEGA[self.disc][0] * self.q, -self.q, self.d)
 
     def norm(self) -> Fraction:
         t, n0 = _OMEGA[self.disc]
-        return self.x * self.x + t * self.x * self.y + n0 * self.y * self.y
+        p, q = self.p, self.q
+        return Fraction(p * p + t * p * q + n0 * q * q, self.d * self.d)
 
     def trace(self) -> Fraction:
-        return 2 * self.x + _OMEGA[self.disc][0] * self.y
+        return Fraction(2 * self.p + _OMEGA[self.disc][0] * self.q, self.d)
 
     def rational_part(self) -> Fraction:
         """The coefficient of 1 in the basis (1, sqrt(disc)); equals trace/2."""
-        return self.x + Fraction(_OMEGA[self.disc][0] * self.y, 2)
+        return Fraction(2 * self.p + _OMEGA[self.disc][0] * self.q, 2 * self.d)
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.d == 1
 
     def to_order(self) -> OrderElement:
-        if not self.is_integral():
+        if self.d != 1:
             raise ValueError(f"{self!r} is not integral")
-        return OrderElement(self.disc, int(self.x), int(self.y))
+        return OrderElement(self.disc, self.p, self.q)
 
     def __repr__(self) -> str:
         return f"QuadRat({self.disc}, {self.x!r}, {self.y!r})"
+
+
+def _quad(disc: int, p: int, q: int, d: int) -> QuadRat:
+    """(p + q*w)/d over ``disc`` for d > 0, reduced by gcd(p, q, d); internal
+    results skip the public constructor's validation."""
+    g = int_gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    z = object.__new__(QuadRat)
+    for name, v in zip(QuadRat.__slots__, (disc, p, q, d)):
+        object.__setattr__(z, name, v)
+    return z
 
 
 _ELEMENT_RE = re.compile(

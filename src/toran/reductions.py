@@ -122,10 +122,8 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
             acc = acc + QuadRat.from_order(U[k][i] * gp.multipliers[i] * beta[i])
         rhs.append(acc / R)
     z = solve_field(raw_rows, rhs, disc)
-    level = int_lcm(1, *(f.denominator for c in z for f in (c.x, c.y)))
-    coords = [
-        OrderElement(disc, int(c.x * level), int(c.y * level)) for c in z
-    ]
+    level = int_lcm(1, *(c.d for c in z))
+    coords = [OrderElement(disc, c.p * (level // c.d), c.q * (level // c.d)) for c in z]
     zeta = TorsionPoint(disc, level, coords)
     coset = TorsionCoset(hnf(SubgroupMatrix(disc, N, raw_rows, check_rank=False)), zeta)
     assert coset.codim == N - m

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import toran.enumeration as enumeration
 from toran.enumeration import (
     _SUBGROUP_CACHE,
     _dedup_unit_rows,
@@ -28,6 +29,8 @@ from toran.orders import (
 from toran.subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
+    _rank,
+    degree_surrogate,
     hnf,
     integer_model,
     ints_to_vector,
@@ -299,3 +302,110 @@ def test_oracle_and_enumeration_leave_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _full_list_choices(rows, r, cap, start=0, chosen=(), prod=1):
+    """The independent row search over a fixed list, as the oracle ran it
+    before its row list could grow."""
+    if len(chosen) == r:
+        yield chosen
+        return
+    for i in range(start, len(rows)):
+        s, row = rows[i]
+        if prod * s > cap:
+            break
+        nxt = chosen + (row,)
+        if _rank(nxt) != len(nxt):
+            continue
+        yield from _full_list_choices(rows, r, cap, i + 1, nxt, prod * s)
+
+
+def _full_list_oracle(point, x_budget, budget=2_000_000):
+    """Reference oracle that lists every killing row within the budget before
+    it searches; returns its result and the number of candidates examined."""
+    disc, n = point.spec.disc, point.N
+    model = integer_model(zip(*point.coefficient_rows()), disc, n)
+    killing = _dedup_unit_rows(disc, _killing_rows(disc, n, x_budget, model))
+    kill_rank = _rank([row for _, row in killing])
+    examined = 0
+    for r in range(kill_rank, 0, -1):
+        candidates = []
+        for chosen in _full_list_choices(killing, r, x_budget):
+            examined += 1
+            if examined > budget:
+                raise BudgetExceededError(f"examined more than {budget} candidate matrices")
+            canon = saturate(SubgroupMatrix(disc, n, chosen, check_rank=False))
+            if canon.r == r and surrogate_degree(canon) <= x_budget:
+                candidates.append(canon)
+            if r == kill_rank:
+                break
+        if candidates:
+            best = min(
+                candidates,
+                key=lambda m: (
+                    degree_surrogate(m).minor_sum,
+                    tuple((e.a, e.b) for row in m.rows for e in row),
+                ),
+            )
+            return (best, point.torsion_point(), n - r), examined
+    return (SubgroupMatrix(disc, n, []), point.torsion_point(), n), examined
+
+
+def test_oracle_matches_full_list_reference():
+    # seeded points over every discriminant, N = 1..4 and rank 1..2, plus
+    # all-zero coefficients and (3, 4) over -4, whose kill rank is 0 at cap
+    # 16; at N = 4 and cap 9 the top level's first leaf often fails and the
+    # lower levels decide
+    rng = random.Random(2024)
+    points = [(rank_one_point(-4, [[3], [4]]), 16)]
+    for disc, n, rank in itertools.product(DISCS, (1, 2, 3, 4), (1, 2)):
+        gram = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        spec = ModuleSpec(disc, rank, gram, torsion_order=rng.choice([1, 2]))
+        cap = 16 if n < 4 else 9
+        if rank == 1 and n < 4:  # the reference lists every row within the cap
+            points.append((PointInEN.from_rows(spec, [[0]] * n), cap))
+        for _ in range(4):
+            rows = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
+            torsions = [rng.randrange(spec.torsion_order) for _ in range(n)]
+            points.append((PointInEN.from_rows(spec, rows, torsions), cap))
+    lower = 0
+    for x, cap in points:
+        want, examined = _full_list_oracle(x, cap)
+        assert brute_force_minimal_coset(x, x_budget=cap) == want
+        lower += examined > 1
+        if examined:
+            # a budget below the examined count raises at the same count
+            with pytest.raises(BudgetExceededError, match=f"more than {examined - 1} "):
+                brute_force_minimal_coset(x, x_budget=cap, budget=examined - 1)
+            assert brute_force_minimal_coset(x, x_budget=cap, budget=examined) == want
+    assert lower >= 5
+
+
+def test_oracle_stops_listing_at_the_kernel_rank(monkeypatch):
+    # every row kills an all-zero point, so the cap-1 stage (the unit
+    # vectors) already reaches the bound N
+    caps = []
+
+    def recording(disc, n_ambient, cap, model, low=0):
+        caps.append(cap)
+        return _killing_rows(disc, n_ambient, cap, model, low)
+
+    monkeypatch.setattr(enumeration, "_killing_rows", recording)
+    spec = ModuleSpec(-3, 2, [[1, 0], [0, 1]])
+    x = PointInEN.from_rows(spec, [[0, 0]] * 3)
+    start = time.perf_counter()
+    M, _, dim = brute_force_minimal_coset(x)
+    assert time.perf_counter() - start < 0.05
+    assert caps == [1]
+    identity = [[OrderElement(-3, int(i == j), 0) for j in range(3)] for i in range(3)]
+    assert dim == 0 and M == hnf(SubgroupMatrix(-3, 3, identity))
+
+
+def test_enumeration_budget_exit_lists_one_stage():
+    # the search examines its first candidates among the unit rows, so a
+    # budget exit does not pay for the full row list
+    _SUBGROUP_CACHE.clear()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="more than 10 "):
+        enumerate_subgroups(-4, 3, 1, 40, budget=10)
+    assert time.perf_counter() - start < 0.05

@@ -1,6 +1,7 @@
 """Ring laws, division, canonical forms and parsing for the five orders."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -395,3 +396,144 @@ def test_constructors_are_exact():
     assert (z.x, z.y) == (2, Fraction(1, 3))
     assert QuadRat(-4, "3/2", 0) == Fraction(3, 2)
     assert QuadRat(-4, Fraction(6, 3), 5).to_order() == OrderElement(-4, 2, 5)
+
+
+class _FractionQuadRat:
+    """The former Fraction-coordinate field element, kept as the reference
+    for QuadRat's integer triples: every operation is written on x and y."""
+
+    def __init__(self, disc, x, y):
+        self.disc, self.x, self.y = disc, Fraction(x), Fraction(y)
+
+    def _coerce(self, other):
+        if isinstance(other, _FractionQuadRat):
+            return other
+        if isinstance(other, OrderElement):
+            return _FractionQuadRat(other.disc, other.a, other.b)
+        return _FractionQuadRat(self.disc, other, 0)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _FractionQuadRat(self.disc, self.x + o.x, self.y + o.y)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return _FractionQuadRat(self.disc, self.x - o.x, self.y - o.y)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        t, n0 = trace_omega(self.disc), norm_omega(self.disc)
+        a, b, c, d = self.x, self.y, o.x, o.y
+        return _FractionQuadRat(self.disc, a * c - n0 * b * d, a * d + b * c + t * b * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        n = o.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero field element")
+        num = self * o.conjugate()
+        return _FractionQuadRat(self.disc, num.x / n, num.y / n)
+
+    def __neg__(self):
+        return _FractionQuadRat(self.disc, -self.x, -self.y)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.x == other and self.y == 0
+        if isinstance(other, OrderElement):
+            return self.disc == other.disc and self.x == other.a and self.y == other.b
+        return (self.disc, self.x, self.y) == (other.disc, other.x, other.y)
+
+    def __hash__(self):
+        return hash((self.disc, self.x, self.y))
+
+    def __bool__(self):
+        return self.x != 0 or self.y != 0
+
+    def conjugate(self):
+        return _FractionQuadRat(self.disc, self.x + trace_omega(self.disc) * self.y, -self.y)
+
+    def norm(self):
+        t, n0 = trace_omega(self.disc), norm_omega(self.disc)
+        return self.x * self.x + t * self.x * self.y + n0 * self.y * self.y
+
+    def trace(self):
+        return 2 * self.x + trace_omega(self.disc) * self.y
+
+    def rational_part(self):
+        return self.x + Fraction(trace_omega(self.disc) * self.y, 2)
+
+    def is_integral(self):
+        return self.x.denominator == 1 and self.y.denominator == 1
+
+    def to_order(self):
+        if not self.is_integral():
+            raise ValueError(f"{self!r} is not integral")
+        return OrderElement(self.disc, int(self.x), int(self.y))
+
+    def __repr__(self):
+        return f"QuadRat({self.disc}, {self.x!r}, {self.y!r})"
+
+
+def _assert_same(z, ref):
+    """z is a normalised integer triple with the reference's value and face."""
+    assert isinstance(z, QuadRat) and z.disc == ref.disc
+    assert z.d > 0 and math.gcd(z.p, z.q, z.d) == 1
+    assert (z.x, z.y) == (ref.x, ref.y)
+    assert (type(z.x), type(z.y)) == (Fraction, Fraction)
+    assert hash(z) == hash(ref) and repr(z) == repr(ref)
+    assert bool(z) == bool(ref) and z.is_integral() == ref.is_integral()
+
+
+def test_quadrat_matches_fraction_reference():
+    rng = random.Random(1414)
+
+    def coordinate():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-12, 12)
+        n, d = rng.randint(-12, 12), rng.randint(1, 9)
+        return Fraction(n, d) if kind == 2 else f"{n}/{d}"
+
+    for _ in range(1500):
+        disc = rng.choice(DISCS)
+        raw = [(coordinate(), coordinate()) for _ in range(2)]
+        (x, rx), (y, ry) = [(QuadRat(disc, *c), _FractionQuadRat(disc, *c)) for c in raw]
+        _assert_same(x, rx)
+        k = rng.choice([0, -3, 2, Fraction(-3, 2), Fraction(5, 4)])
+        e = OrderElement(disc, rng.randint(-5, 5), rng.randint(-5, 5))
+        pairs = [
+            (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+            (-x, -rx), (x.conjugate(), rx.conjugate()),
+            (x + k, rx + k), (k + x, k + rx), (x - k, rx - k), (k - x, k - rx),
+            (x * k, rx * k), (k * x, k * rx), (x + e, rx + e), (x * e, rx * e),
+        ]
+        for divisor, ref in ((y, ry), (k, k), (e, e)):
+            if ref:
+                pairs.append((x / divisor, rx / ref))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / divisor
+        for z, ref in pairs:
+            _assert_same(z, ref)
+        for name in ("norm", "trace", "rational_part"):
+            got, want = getattr(x, name)(), getattr(rx, name)()
+            assert type(got) is Fraction and got == want
+        assert (x == y) == (rx == ry)
+        for other in (0, k, x.x, e):
+            assert (x == other) == (rx == other)
+        assert (x == QuadRat.from_order(e)) == (rx == e)
+        if rx.is_integral():
+            assert x.to_order() == rx.to_order()
+        else:
+            with pytest.raises(ValueError, match="not integral"):
+                x.to_order()
