@@ -5,8 +5,9 @@ Subgroups of codimension r in E^N are listed through r x N coefficient
 matrices whose surrogate degree, the product over rows of the summed entry
 norms, stays within a budget X.  Matrices are identified with the connected
 subgroup they cut out, so the canonical label is the Hermite form of the
-saturation; listing all matrices within X and filtering on the label's own
-surrogate makes the output exactly the set of canonical labels within X.
+saturation; listing all independent matrices within X, one row per unit
+class, and filtering on the label's own surrogate makes the output exactly
+the set of canonical labels within X.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def enumerate_torsion(
 ) -> list[TorsionPoint]:
     """All torsion points at the given level, in lexicographic coordinate
     order; with exact_order only the points of that exact order."""
+    if budget < 0:
+        raise ValueError(f"need a non-negative point budget, got {budget}")
     total = count_torsion_points(n_ambient, level, exact_order=False)
     if total > budget:
         raise BudgetExceededError(
@@ -143,11 +146,13 @@ def _norm_box(disc: int, cap: int) -> tuple[tuple, ...]:
 
 
 def _killing_stages(disc: int, n_ambient: int, x_budget: int, model):
-    """_killing_rows within x_budget in stages of growing cap (1, 2, 4, 8,
-    then x_budget), each stage holding the rows above the previous cap."""
+    """Unit-class representatives (_dedup_unit_rows) of the _killing_rows
+    within x_budget, in stages of growing cap (1, 2, 4, 8, then x_budget),
+    each stage holding the rows above the previous cap.  Unit multiples
+    share their summed norm, so each class lies within one stage."""
     caps = [c for c in (1, 2, 4, 8) if c < x_budget] + [x_budget]
     for low, cap in zip([0] + caps, caps):
-        yield _killing_rows(disc, n_ambient, cap, model, low)
+        yield _dedup_unit_rows(disc, _killing_rows(disc, n_ambient, cap, model, low))
 
 
 class _StagedRows(list):
@@ -166,9 +171,6 @@ class _StagedRows(list):
         return False
 
 
-_SUBGROUP_CACHE: dict = {}
-
-
 def enumerate_subgroups(
     disc: int,
     n_ambient: int,
@@ -180,8 +182,12 @@ def enumerate_subgroups(
     """Connected subgroups of the given dimension whose canonical matrix has
     surrogate degree at most x_budget, sorted by (surrogate, minors, entries).
 
-    With witness_level set, pairwise distinctness of the listed subgroups is
-    re-verified on their kernel lattices at that level.
+    Every subgroup is cut out by independent rows, and scaling a row by a
+    unit keeps both the subgroup and the row's summed norm, so the search
+    runs over unit-class representatives of all rows.  At most ``budget``
+    candidate matrices are examined.  With witness_level set, pairwise
+    distinctness of the listed subgroups is re-verified on their kernel
+    lattices at that level.
     """
     if disc not in EUCLIDEAN_DISCS:
         raise ValueError(f"unsupported discriminant {disc}")
@@ -189,27 +195,20 @@ def enumerate_subgroups(
         raise ValueError(f"need 0 <= dim <= N, got dim={dim}, N={n_ambient}")
     if x_budget < 1:
         raise ValueError("need a positive surrogate budget")
-    key = (disc, n_ambient, dim, x_budget)
-    result = _SUBGROUP_CACHE.get(key)
-    if result is None:
-        result = _enumerate_uncached(disc, n_ambient, dim, x_budget, budget)
-        _SUBGROUP_CACHE[key] = result
-        if len(_SUBGROUP_CACHE) > 16:  # drop the oldest, so memory stays flat
-            del _SUBGROUP_CACHE[next(iter(_SUBGROUP_CACHE))]
+    if budget < 0:
+        raise ValueError(f"need a non-negative candidate budget, got {budget}")
+    result = _search_subgroups(disc, n_ambient, n_ambient - dim, x_budget, budget)
     if witness_level is not None:
         lattices = {kernel_lattice_at_level(m, witness_level) for m in result}
         assert len(lattices) == len(result)
     return result
 
 
-def _row_choices(rows, r, cap, independent, start=0, chosen=(), prod=1):
-    """Choices of r rows from the _StagedRows list ``rows`` of (summed norm,
-    row), by index in depth-first order, whose norm product stays within
-    cap.  The list grows only when the search reads past its end.
-
-    Indices may repeat unless ``independent``, which makes them strictly
-    increasing and drops every prefix of deficient rank.
-    """
+def _row_choices(rows, r, cap, start=0, chosen=(), prod=1):
+    """Independent choices of r rows from the _StagedRows list ``rows`` of
+    (summed norm, row), by strictly increasing index in depth-first order,
+    whose norm product stays within cap.  A prefix of deficient rank is
+    dropped, and the list grows only when the search reads past its end."""
     if len(chosen) == r:
         yield chosen
         return
@@ -218,41 +217,42 @@ def _row_choices(rows, r, cap, independent, start=0, chosen=(), prod=1):
         s, row = rows[i]
         if prod * s > cap:
             break
-        nxt = chosen + (row,)
         i += 1
-        if independent and _rank(nxt) != len(nxt):
-            continue
-        nxt_start = i if independent else i - 1
-        yield from _row_choices(rows, r, cap, independent, nxt_start, nxt, prod * s)
+        nxt = chosen + (row,)
+        if _rank(nxt) == len(nxt):
+            yield from _row_choices(rows, r, cap, i, nxt, prod * s)
 
 
-def _enumerate_uncached(disc, n_ambient, dim, x_budget, budget):
-    r = n_ambient - dim
+def _search_subgroups(disc, n_ambient, r, x_budget, budget):
     if r == 0:
         return (SubgroupMatrix(disc, n_ambient, []),)
     rows = _StagedRows(_killing_stages(disc, n_ambient, x_budget, []))  # all rows kill
-    elems = {(e.a, e.b): e for e in _elements_norm_le(disc, x_budget)}
     seen: dict = {}
     examined = 0
-    for chosen in _row_choices(rows, r, x_budget, False):
+    for chosen in _row_choices(rows, r, x_budget):
         examined += 1
         if examined > budget:
             raise BudgetExceededError(f"examined more than {budget} candidate matrices")
-        vectors = [[elems[f[k : k + 2]] for k in range(0, len(f), 2)] for f in chosen]
-        mat = SubgroupMatrix(disc, n_ambient, vectors, check_rank=False)
-        if _rank(mat.rows) < r:
-            continue
-        canon = saturate(mat)
-        if canon.r != r or surrogate_degree(canon) > x_budget:
-            continue
-        seen.setdefault(canon.rows, canon)
+        canon = _label_within(disc, n_ambient, chosen, x_budget)
+        if canon is not None:
+            seen.setdefault(canon.rows, canon)
+    return tuple(sorted(seen.values(), key=lambda m: (surrogate_degree(m), _tie_key(m))))
 
-    def sort_key(m):
-        surr = degree_surrogate(m)
-        flat = tuple((e.a, e.b) for row in m.rows for e in row)
-        return (surrogate_degree(m), surr.minor_sum, flat)
 
-    return tuple(sorted(seen.values(), key=sort_key))
+def _label_within(disc: int, n_ambient: int, chosen, x_budget: int):
+    """The canonical label (the Hermite form of the saturation) of the
+    subgroup that ``chosen`` cuts out, or None when it loses rank or its
+    surrogate degree exceeds x_budget."""
+    canon = saturate(SubgroupMatrix(disc, n_ambient, chosen, check_rank=False))
+    if canon.r == len(chosen) and surrogate_degree(canon) <= x_budget:
+        return canon
+    return None
+
+
+def _tie_key(m: SubgroupMatrix) -> tuple:
+    """Minor sum, then entries: how the oracle picks among its candidates,
+    and how the enumerator orders labels of equal surrogate degree."""
+    return degree_surrogate(m).minor_sum, tuple((e.a, e.b) for row in m.rows for e in row)
 
 
 def _dedup_unit_rows(disc: int, rows) -> list[tuple]:
@@ -299,8 +299,7 @@ def brute_force_minimal_coset(
     n_ambient = point.N
     model = integer_model(zip(*point.coefficient_rows()), disc, n_ambient)
     bound = n_ambient - rank_int(model) // 2
-    stages = _killing_stages(disc, n_ambient, x_budget, model)
-    killing = _StagedRows(_dedup_unit_rows(disc, rows) for rows in stages)
+    killing = _StagedRows(_killing_stages(disc, n_ambient, x_budget, model))
     kill_rank = 0
     while kill_rank < bound and killing.grow():
         kill_rank = _rank([row for _, row in killing])
@@ -310,25 +309,18 @@ def brute_force_minimal_coset(
     examined = 0
     for r in range(kill_rank, 0, -1):
         candidates: list[SubgroupMatrix] = []
-        for chosen in _row_choices(killing, r, x_budget, True):
+        for chosen in _row_choices(killing, r, x_budget):
             examined += 1
             if examined > budget:
                 raise BudgetExceededError(f"examined more than {budget} candidate matrices")
-            canon = saturate(SubgroupMatrix(disc, n_ambient, chosen, check_rank=False))
-            if canon.r == r and surrogate_degree(canon) <= x_budget:
+            canon = _label_within(disc, n_ambient, chosen, x_budget)
+            if canon is not None:
                 candidates.append(canon)
             if r == kill_rank:
                 # all maximal independent subsets span the same saturation,
                 # so the top level is decided by its first leaf
                 break
         if candidates:
-            best = min(
-                candidates,
-                key=lambda m: (
-                    degree_surrogate(m).minor_sum,
-                    tuple((e.a, e.b) for row in m.rows for e in row),
-                ),
-            )
-            return best, point.torsion_point(), n_ambient - r
+            return min(candidates, key=_tie_key), point.torsion_point(), n_ambient - r
     empty = SubgroupMatrix(disc, n_ambient, [])
     return empty, point.torsion_point(), n_ambient

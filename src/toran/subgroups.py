@@ -446,6 +446,8 @@ def _level_steps(M: SubgroupMatrix, level: int) -> tuple[list[int], tuple]:
     where d_i = 0 or i lies beyond the rank.  (d, V) does not depend on the
     level, so it is computed once per matrix and kept as tuples.
     """
+    if level < 1:
+        raise ValueError(f"need a level >= 1, got {level}")
     n2 = 2 * M.N
     if M.r == 0:
         return [1] * n2, [[int(i == j) for j in range(n2)] for i in range(n2)]

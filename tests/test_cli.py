@@ -286,6 +286,22 @@ def test_enumerate_budget_exit_code(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("level", ["-3", "-1", "0"])
+def test_enumerate_witness_level_below_one_exits_2(capsys, level):
+    argv = ["enumerate", "--kind", "subgroups", "--disc", "-4", "--ambient", "2", "--dim", "1"]
+    code, out, err = run_cli(capsys, argv + ["--x-budget", "2", "--witness-level", level])
+    assert code == 2 and out == ""
+    assert "level >= 1" in err
+
+
+@pytest.mark.parametrize("kind", ["subgroups", "torsion"])
+def test_enumerate_negative_budget_exits_2(capsys, kind):
+    argv = ["enumerate", "--kind", kind, "--disc", "-4", "--ambient", "2", "--dim", "1"]
+    code, out, err = run_cli(capsys, argv + ["--x-budget", "2", "--level", "2", "--budget", "-5"])
+    assert code == 2 and out == ""
+    assert "non-negative" in err
+
+
 def test_enumerate_disc_from_env(capsys, monkeypatch):
     monkeypatch.setenv("TORAN_DISC", "-4")
     code, out, _ = run_cli(

@@ -9,7 +9,6 @@ import pytest
 
 import toran.enumeration as enumeration
 from toran.enumeration import (
-    _SUBGROUP_CACHE,
     _dedup_unit_rows,
     _killing_rows,
     brute_force_minimal_coset,
@@ -92,6 +91,10 @@ def test_enumerate_torsion_matches_counts():
 def test_enumerate_torsion_budget():
     with pytest.raises(BudgetExceededError):
         enumerate_torsion(-4, 3, 7, budget=1000)
+    with pytest.raises(BudgetExceededError):  # zero is a valid budget
+        enumerate_torsion(-4, 1, 2, budget=0)
+    with pytest.raises(ValueError):
+        enumerate_torsion(-4, 1, 2, budget=-1)
 
 
 def test_enumerate_subgroups_frozen_counts():
@@ -115,18 +118,6 @@ def test_enumerate_subgroups_frozen_rows():
     }
     got = {tuple((e.a, e.b) for e in m.rows[0]) for m in found}
     assert got == want
-
-
-def test_subgroup_cache_is_bounded():
-    _SUBGROUP_CACHE.clear()
-    first = enumerate_subgroups(-4, 2, 1, 2)
-    for disc in DISCS:
-        for x in range(1, 5):
-            enumerate_subgroups(disc, 1, 0, x)
-    assert len(_SUBGROUP_CACHE) <= 16
-    # an evicted key is enumerated again, to the same result
-    assert (-4, 2, 1, 2) not in _SUBGROUP_CACHE
-    assert enumerate_subgroups(-4, 2, 1, 2) == first
 
 
 def test_enumerate_subgroups_properties():
@@ -161,6 +152,10 @@ def test_enumerate_subgroups_validation():
         enumerate_subgroups(-4, 2, 1, 0)
     with pytest.raises(BudgetExceededError):
         enumerate_subgroups(-4, 3, 1, 40, budget=10)
+    with pytest.raises(ValueError):
+        enumerate_subgroups(-4, 2, 1, 2, budget=-5)
+    # zero is a valid budget: the full group needs no candidate
+    assert len(enumerate_subgroups(-4, 2, 2, 2, budget=0)) == 1
 
 
 def test_surrogate_degree():
@@ -296,8 +291,6 @@ def test_oracle_and_enumeration_leave_no_cycles():
     try:
         brute_force_minimal_coset(x)
         assert gc.collect() == 0
-        _SUBGROUP_CACHE.clear()
-        gc.collect()
         enumerate_subgroups(-4, 2, 1, 3)
         assert gc.collect() == 0
     finally:
@@ -404,8 +397,71 @@ def test_oracle_stops_listing_at_the_kernel_rank(monkeypatch):
 def test_enumeration_budget_exit_lists_one_stage():
     # the search examines its first candidates among the unit rows, so a
     # budget exit does not pay for the full row list
-    _SUBGROUP_CACHE.clear()
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="more than 10 "):
         enumerate_subgroups(-4, 3, 1, 40, budget=10)
     assert time.perf_counter() - start < 0.05
+
+
+def _reference_subgroups(disc, n, dim, x_budget):
+    """Reference enumerator over every row within the budget (not one per
+    unit class), with indices that may repeat and the rank checked only at
+    the leaf.  Returns the sorted labels and the number of candidates
+    examined."""
+    r = n - dim
+    if r == 0:
+        return (SubgroupMatrix(disc, n, []),), 0
+    rows = [(s, ints_to_vector(disc, flat)) for s, flat in _scan_killing(disc, n, x_budget, [])]
+
+    def choices(start, chosen, prod):
+        if len(chosen) == r:
+            yield chosen
+            return
+        for i in range(start, len(rows)):
+            s, row = rows[i]
+            if prod * s > x_budget:
+                break
+            yield from choices(i, chosen + (row,), prod * s)
+
+    seen = {}
+    examined = 0
+    for chosen in choices(0, (), 1):
+        examined += 1
+        if _rank(chosen) < r:
+            continue
+        canon = saturate(SubgroupMatrix(disc, n, chosen, check_rank=False))
+        if canon.r == r and surrogate_degree(canon) <= x_budget:
+            seen.setdefault(canon.rows, canon)
+
+    def key(m):
+        flat = tuple((e.a, e.b) for row in m.rows for e in row)
+        return (surrogate_degree(m), degree_surrogate(m).minor_sum, flat)
+
+    return tuple(sorted(seen.values(), key=key)), examined
+
+
+def test_enumeration_matches_reference():
+    # one seeded key per discriminant, N = 1..3 and dim, with X small enough
+    # for the reference's repeated-index search; the unit-class search must
+    # list the same labels in the same order
+    rng = random.Random(1515)
+    x_max = {1: [16, 16], 2: [3, 6, 6], 3: [1, 2, 3, 3]}
+    keys = []
+    for disc, n in itertools.product(DISCS, (1, 2, 3)):
+        keys += [(disc, n, dim, rng.randint(1, x)) for dim, x in enumerate(x_max[n])]
+    for key in keys:
+        want, _ = _reference_subgroups(*key)
+        assert enumerate_subgroups(*key) == want, key
+    # the same call gives the same result
+    assert enumerate_subgroups(-4, 2, 1, 2) == enumerate_subgroups(-4, 2, 1, 2)
+
+
+def test_enumeration_examines_unit_classes_once():
+    # the reference examines 6327 candidates at (-3, 3, 1, 3): every unit
+    # multiple of every row, repeated rows and rank-deficient prefixes
+    want, examined = _reference_subgroups(-3, 3, 1, 3)
+    assert examined == 6327 and len(want) == 21
+    assert enumerate_subgroups(-3, 3, 1, 3, budget=171) == want
+    with pytest.raises(BudgetExceededError, match="more than 170 "):
+        enumerate_subgroups(-3, 3, 1, 3, budget=170)
+

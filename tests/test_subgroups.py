@@ -230,6 +230,16 @@ def test_kernel_budget():
         kernel_at_level(empty, 7, max_points=100)
 
 
+@pytest.mark.parametrize("level", [-3, -1, 0])
+def test_levels_below_one_are_invalid(level):
+    diag = SubgroupMatrix.from_ints(-4, [[1, -1]])
+    empty = SubgroupMatrix(-4, 2, [], check_rank=False)
+    for M in (diag, empty):
+        for f in (kernel_count_at_level, kernel_at_level, kernel_lattice_at_level):
+            with pytest.raises(ValueError, match="level >= 1"):
+                f(M, level)
+
+
 def test_sum_and_intersection_frozen():
     diag = SubgroupMatrix.from_ints(-4, [[1, -1]])
     anti = SubgroupMatrix.from_ints(-4, [[1, 1]])
