@@ -201,21 +201,27 @@ def height_exponent_max(n: int) -> tuple[Fraction, int]:
     return best
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs a positive integer")
-    out = n
+def _jordan_totient(n: int, k: int) -> int:
+    """Jordan's totient J_k(n) = n^k * prod over primes p | n of (1 - p^-k):
+    the k-tuples mod n of exact order n, so J_1 is Euler's phi."""
+    out = n**k
     p = 2
     m = n
     while p * p <= m:
         if m % p == 0:
             while m % p == 0:
                 m //= p
-            out -= out // p
+            out -= out // p**k
         p += 1
     if m > 1:
-        out -= out // m
+        out -= out // m**k
     return out
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("euler_phi needs a positive integer")
+    return _jordan_totient(n, 1)
 
 
 def _need(cond: bool, msg: str) -> None:

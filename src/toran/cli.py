@@ -231,6 +231,8 @@ def _cmd_lift(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     disc = _default_disc(args.disc)
+    if args.budget < 0:
+        raise ValueError(f"need a non-negative budget, got {args.budget}")
     if args.kind == "torsion":
         if args.level is None:
             raise serialize.FormatError("torsion enumeration needs --level")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
+from .bounds import _jordan_totient
 from .intlattice import rank_int
 from .mordell_weil import PointInEN
 from .orders import _OMEGA, EUCLIDEAN_DISCS, OrderElement, _elements_norm_le, units
@@ -22,7 +23,6 @@ from .subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
     TorsionPoint,
-    _divisors,
     _rank,
     _row_norm_product,
     degree_surrogate,
@@ -33,30 +33,13 @@ from .subgroups import (
 )
 
 
-def _mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius needs a positive integer")
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def count_torsion_points(n_ambient: int, level: int, exact_order: bool = False) -> int:
     """Points of E^N killed by level, or of exact order level."""
     if n_ambient < 1 or level < 1:
         raise ValueError("need N >= 1 and level >= 1")
     if not exact_order:
         return level ** (2 * n_ambient)
-    return sum(_mobius(level // d) * d ** (2 * n_ambient) for d in _divisors(level))
+    return _jordan_totient(level, 2 * n_ambient)
 
 
 def enumerate_torsion(

@@ -16,7 +16,6 @@ from .orders import DiscMismatchError, OrderElement, QuadRat, _as_element, _dot
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
-    _det,
     _left_kernel,
     _rank,
     hnf,
@@ -63,12 +62,17 @@ class ModuleSpec:
             for j in range(self.rank):
                 if g[j][i] != g[i][j].conjugate():
                     raise ValueError(f"gram is not hermitian at ({i}, {j})")
-        # Sylvester: all leading principal minors positive (they are rational
-        # by hermitian symmetry)
-        for k in range(1, self.rank + 1):
-            d = _det([row[:k] for row in g[:k]])
-            if d.y != 0 or d.x <= 0:
-                raise ValueError(f"gram is not positive definite (minor {k})")
+        # Sylvester: all leading principal minors D_k positive.  Elimination
+        # without row exchanges has pivots D_k / D_{k-1}, rational by hermitian
+        # symmetry, so the first pivot that is not positive names the minor.
+        A = [list(row) for row in g]
+        for k, pivot_row in enumerate(A):
+            p = pivot_row[k]
+            if p.y != 0 or p.x <= 0:
+                raise ValueError(f"gram is not positive definite (minor {k + 1})")
+            for row in A[k + 1 :]:
+                f = row[k] / p
+                row[k:] = [x - f * y for x, y in zip(row[k:], pivot_row[k:])]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModuleSpec):
@@ -308,21 +312,12 @@ def orthogonality_certificate(
     if len(param) != y0.N:
         raise ValueError(f"parametrization has {len(param)} rows, point has {y0.N}")
     d = len(param[0]) if param and param[0] else 0
-    A = y0.coefficient_rows()
     for j in range(d):
+        column = [row[j] for row in param]
         for l in range(spec.rank):
-            acc = QuadRat.zero(spec.disc)
-            for i in range(y0.N):
-                if param[i][j].is_zero():
-                    continue
-                # < y0_i, P_ij g_l > = conj(P_ij) * < y0_i, g_l >
-                inner = QuadRat.zero(spec.disc)
-                for k in range(spec.rank):
-                    if A[i][k].is_zero():
-                        continue
-                    inner = inner + QuadRat.from_order(A[i][k]) * spec.gram[k][l]
-                acc = acc + QuadRat.from_order(param[i][j]).conjugate() * inner
-            if acc:
+            # the image of g_l under column j has coordinates param[i][j] * g_l
+            rows = [[c if k == l else 0 for k in range(spec.rank)] for c in column]
+            if nt_pairing(y0, PointInEN.from_rows(spec, rows)):
                 return False
     return True
 

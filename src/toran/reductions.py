@@ -115,12 +115,7 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
         return TorsionCoset(M, TorsionPoint.zero(disc, N))
     R = x.spec.torsion_order
     beta = [c.torsion for c in x.coords]
-    rhs = []
-    for k in range(len(U)):
-        acc = QuadRat.zero(disc)
-        for i in range(N):
-            acc = acc + QuadRat.from_order(U[k][i] * gp.multipliers[i] * beta[i])
-        rhs.append(acc / R)
+    rhs = [QuadRat.from_order(_dot(disc, row, beta)) / R for row in raw_rows]
     z = solve_field(raw_rows, rhs, disc)
     level = int_lcm(1, *(c.d for c in z))
     coords = [OrderElement(disc, c.p * (level // c.d), c.q * (level // c.d)) for c in z]

@@ -4,8 +4,8 @@ The kernel of an m x n full-row-rank system is a free module of rank n - m;
 its rank-2(n-m) integer image is reduced with exact-arithmetic LLL under the
 trace form, and the smallest fraction-field-independent vectors are returned
 together with a norm certificate of Siegel shape: the largest coordinate
-norm is at most c * (product of row norm sums)^(m/(n-m)).  For small n an
-exhaustive box search double-checks or replaces the reduced basis.
+norm is at most c * (product of row norm sums)^(m/(n-m)).  For small n, when
+that certificate fails, an exhaustive box search replaces the reduced basis.
 """
 
 from __future__ import annotations

@@ -254,22 +254,6 @@ class DegreeSurrogate:
         return self.minor_sum <= self.hadamard_bound
 
 
-def _det(rows):
-    """Determinant of a non-empty square matrix of OrderElement or QuadRat
-    entries, by cofactor expansion along the first row."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = rows[0][0] * 0  # the zero of the entries' ring
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
 def _row_norm_product(rows) -> int:
     """Product over rows of the summed coordinate norms."""
     return prod(sum(e.norm() for e in row) for row in rows)
@@ -280,10 +264,12 @@ def degree_surrogate(M: SubgroupMatrix) -> DegreeSurrogate:
 
     if M.r == 0:
         return DegreeSurrogate(1, 1, M.N, 0)
+    # the norm of a determinant over O is the determinant of its integer model
+    A = integer_model(M.rows, M.disc, M.N)
     minor_sum = 0
     for cols in combinations(range(M.N), M.r):
-        sub = [[row[c] for c in cols] for row in M.rows]
-        minor_sum += _det(sub).norm()
+        ks = [k for c in cols for k in (2 * c, 2 * c + 1)]
+        minor_sum += det_int([[row[k] for k in ks] for row in A])
     return DegreeSurrogate(minor_sum, _row_norm_product(M.rows), M.N, M.r)
 
 
@@ -332,11 +318,8 @@ class TorsionPoint:
         return TorsionPoint(self.disc, level, [k * c for c in self.coords])
 
     def order(self) -> int:
-        n = self.level
-        for d in _divisors(n):
-            if all((d * c.a) % n == 0 and (d * c.b) % n == 0 for c in self.coords):
-                return d
-        raise AssertionError("unreachable")
+        # d kills the point exactly when level divides d times every coordinate
+        return self.level // int_gcd(self.level, *vector_to_ints(self.coords))
 
     def reduced(self) -> TorsionPoint:
         """The same point written over its exact order."""
@@ -375,19 +358,6 @@ class TorsionPoint:
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self.coords)
         return f"TorsionPoint({self.disc}, level={self.level}, [{body}])"
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n in increasing order."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def apply_matrix(M: SubgroupMatrix, zeta: TorsionPoint) -> TorsionPoint:

@@ -294,9 +294,10 @@ def test_enumerate_witness_level_below_one_exits_2(capsys, level):
     assert "level >= 1" in err
 
 
-@pytest.mark.parametrize("kind", ["subgroups", "torsion"])
+@pytest.mark.parametrize("kind", ["subgroups", "torsion", "torsion --count-only"])
 def test_enumerate_negative_budget_exits_2(capsys, kind):
-    argv = ["enumerate", "--kind", kind, "--disc", "-4", "--ambient", "2", "--dim", "1"]
+    # the budget is checked even when --count-only lists nothing
+    argv = ["enumerate", "--kind", *kind.split(), "--disc", "-4", "--ambient", "2", "--dim", "1"]
     code, out, err = run_cli(capsys, argv + ["--x-budget", "2", "--level", "2", "--budget", "-5"])
     assert code == 2 and out == ""
     assert "non-negative" in err

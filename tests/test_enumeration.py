@@ -75,6 +75,23 @@ def test_exact_order_partition():
             assert total == level ** (2 * n_ambient)
 
 
+def _mobius(n):
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    if any(n % (p * p) == 0 for p in primes):
+        return 0
+    return (-1) ** len(primes)
+
+
+def test_count_exact_order_matches_mobius_sum():
+    # Mobius inversion of the level counts d^(2N) over the divisors d of the level
+    for n_ambient in (1, 2, 3):
+        for level in range(1, 61):
+            expected = sum(
+                _mobius(level // d) * d ** (2 * n_ambient) for d in _divisors(level)
+            )
+            assert count_torsion_points(n_ambient, level, exact_order=True) == expected
+
+
 def test_enumerate_torsion_matches_counts():
     for disc in (-4, -7):
         for level in (1, 2, 3):

@@ -19,6 +19,8 @@ from toran.mordell_weil import (
 from toran.orders import EUCLIDEAN_DISCS, OrderElement, QuadRat
 from toran.subgroups import SubgroupMatrix, apply_matrix
 
+from test_subgroups import _det
+
 DISCS = list(EUCLIDEAN_DISCS)
 
 
@@ -61,6 +63,45 @@ def test_gram_validation():
         ModuleSpec(-4, 1, [[0]])  # degenerate
     with pytest.raises(ValueError):
         ModuleSpec(-4, 1, [[1], [2]])  # wrong shape
+
+
+@pytest.mark.parametrize(
+    "disc, gram, minor",
+    [
+        (-4, [[0]], 1),
+        (-4, [[-1]], 1),
+        (-4, [[1, (1, 1)], [(1, -1), 1]], 2),
+        (-3, [[2, 1, 0], [1, 2, 0], [0, 0, 0]], 3),
+        (-7, [[1, 0], [0, (-1, 0)]], 2),
+    ],
+)
+def test_gram_names_first_failing_minor(disc, gram, minor):
+    with pytest.raises(ValueError, match=rf"positive definite \(minor {minor}\)"):
+        ModuleSpec(disc, len(gram), gram)
+
+
+def test_gram_check_matches_leading_minors():
+    # Sylvester's criterion through the reference cofactor determinant
+    rng = random.Random(37)
+    first_failing = set()
+    for k in range(300):
+        disc = DISCS[k % 5]
+        rank = rng.randint(1, 4)
+        gram = [[None] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = QuadRat(disc, Fraction(rng.randint(-2, 12), rng.randint(1, 3)), 0)
+            for j in range(i + 1, rank):
+                gram[i][j] = QuadRat(disc, rng.randint(-2, 2), rng.randint(-2, 2))
+                gram[j][i] = gram[i][j].conjugate()
+        minors = [_det([row[:m] for row in gram[:m]]) for m in range(1, rank + 1)]
+        bad = [m for m, d in enumerate(minors, 1) if d.y != 0 or d.x <= 0]
+        if bad:
+            with pytest.raises(ValueError, match=rf"\(minor {bad[0]}\)"):
+                ModuleSpec(disc, rank, gram)
+        else:
+            ModuleSpec(disc, rank, gram)
+        first_failing.add(bad[0] if bad else 0)
+    assert first_failing == {0, 1, 2, 3, 4}
 
 
 def test_point_shapes():
@@ -182,6 +223,16 @@ def test_orthogonality_certificate():
         essential_minimum_translate(param, bad)
     with pytest.raises(ValueError):
         orthogonality_certificate(param, PointInEN.from_rows(spec, [[1]]))
+
+
+def test_orthogonality_checks_every_generator():
+    # rank 2: y0 = (-1 + i) g_1 + 2 g_2 pairs to zero with g_1 but to 4 with g_2
+    spec = ModuleSpec(-4, 2, [[2, (1, 1)], [(1, -1), 3]])
+    y0 = PointInEN.from_rows(spec, [[(-1, 1), 2]])
+    g1 = PointInEN.from_rows(spec, [[1, 0]])
+    g2 = PointInEN.from_rows(spec, [[0, 1]])
+    assert not nt_pairing(y0, g1) and nt_pairing(y0, g2) == QuadRat(-4, 4, 0)
+    assert not orthogonality_certificate([[OrderElement.one(-4)]], y0)
 
 
 def test_orthogonality_random():

@@ -1,6 +1,7 @@
 """Subgroup presentations: echelon forms, saturation, kernels, intersections."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,6 @@ from toran.subgroups import (
     RankError,
     SubgroupMatrix,
     TorsionPoint,
-    _det,
     _echelon,
     _identity,
     _left_kernel,
@@ -54,6 +54,22 @@ def random_matrix(rng, disc, n_ambient, r):
             return SubgroupMatrix(disc, n_ambient, rows)
         except RankError:
             continue
+
+
+def _det(rows):
+    """Reference determinant of a non-empty square matrix of OrderElement or
+    QuadRat entries, by cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    out = rows[0][0] * 0  # the zero of the entries' ring
+    for j in range(n):
+        if not rows[0][j]:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = rows[0][j] * _det(minor)
+        out = out + term if j % 2 == 0 else out - term
+    return out
 
 
 def unimodular_shuffle(rng, M):
@@ -175,6 +191,39 @@ def test_hadamard_bound_random():
         r = rng.randint(1, n)
         M = random_matrix(rng, disc, n, r)
         assert degree_surrogate(M).bound_holds()
+
+
+def test_degree_surrogate_matches_laplace_reference():
+    # minor_sum is the summed norms of the maximal minors, dependent rows too
+    rng = random.Random(29)
+    for k in range(250):
+        disc = DISCS[k % 5]
+        n = rng.randint(1, 5)
+        r = rng.randint(1, min(n, 4))
+        rows = random_rows(rng, disc, r, n, rng.randint(0, r))
+        M = SubgroupMatrix(disc, n, rows, check_rank=False)
+        expected = sum(
+            _det([[row[c] for c in cols] for row in rows]).norm()
+            for cols in itertools.combinations(range(n), r)
+        )
+        assert degree_surrogate(M).minor_sum == expected
+
+
+def test_torsion_point_order_matches_divisor_scan():
+    # the order is the least divisor d of the level that kills every coordinate
+    rng = random.Random(31)
+    for k in range(400):
+        disc = DISCS[k % 5]
+        level = rng.randint(1, 60)
+        f = rng.choice([1, 2, 3, 4, 6, 12])  # a common factor lowers the order
+        coords = [
+            OrderElement(disc, f * rng.randrange(level), f * rng.randrange(level))
+            for _ in range(rng.randint(1, 3))
+        ]
+        p = TorsionPoint(disc, level, coords)
+        flat = [x for c in p.coords for x in (c.a, c.b)]
+        scan = next(d for d in range(1, level + 1) if all(d * x % level == 0 for x in flat))
+        assert p.order() == scan
 
 
 def test_torsion_point_arithmetic():
@@ -371,7 +420,8 @@ def test_echelon_records_the_transform():
         aug = [col + ident for col, ident in zip(cols, _identity(disc, n))]
         E, pivots = _echelon(aug, m)
         U = [ints_to_vector(disc, flat)[m:] for flat in E]
-        assert _det(U).is_unit()
+        # the norm of det U is the determinant of its integer model
+        assert det_int(integer_model(U, disc, n)) == 1
         for flat, u in zip(E, U):
             reduced = ints_to_vector(disc, flat)[:m]
             assert reduced == [_dot(disc, u, row) for row in rows]
