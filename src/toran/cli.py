@@ -286,7 +286,7 @@ def _cmd_orthogonal(args) -> int:
 
 def _cmd_siegel(args) -> int:
     m = _load_matrix(args.matrix)
-    system = LinearSystem(m.disc, [list(row) for row in m.rows])
+    system = LinearSystem(m.disc, m.rows)
     vectors, cert = small_solution(
         system,
         count=args.count,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .orders import DiscMismatchError, OrderElement, QuadRat, _as_element, _dot
+from .orders import DiscMismatchError, OrderElement, QuadRat, _Frozen, _as_element
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
@@ -22,7 +22,7 @@ from .subgroups import (
 )
 
 
-class ModuleSpec:
+class ModuleSpec(_Frozen):
     """Generators-and-gram description of a finite-rank point module."""
 
     __slots__ = ("disc", "rank", "gram", "torsion_order")
@@ -52,9 +52,6 @@ class ModuleSpec:
         object.__setattr__(self, "gram", tuple(g))
         object.__setattr__(self, "torsion_order", int(torsion_order))
         self._validate_gram()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModuleSpec is immutable")
 
     def _validate_gram(self) -> None:
         g = self.gram
@@ -94,7 +91,7 @@ class ModuleSpec:
         )
 
 
-class ModulePoint:
+class ModulePoint(_Frozen):
     """A point alpha . g + beta * T of a single factor E."""
 
     __slots__ = ("spec", "free", "torsion")
@@ -109,9 +106,6 @@ class ModulePoint:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "free", tuple(conv))
         object.__setattr__(self, "torsion", torsion)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModulePoint is immutable")
 
     def _check(self, other: ModulePoint) -> None:
         if self.spec != other.spec:
@@ -158,7 +152,7 @@ class ModulePoint:
         return f"ModulePoint(free={[str(a) for a in self.free]}, torsion={self.torsion})"
 
 
-class PointInEN:
+class PointInEN(_Frozen):
     """A point of E^N with every coordinate in the same module."""
 
     __slots__ = ("spec", "N", "coords")
@@ -175,9 +169,6 @@ class PointInEN:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "N", len(coords))
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointInEN is immutable")
 
     @classmethod
     def from_rows(cls, spec: ModuleSpec, rows, torsions=None) -> PointInEN:
@@ -297,9 +288,8 @@ def minimal_coset(x: PointInEN) -> tuple[SubgroupMatrix, TorsionPoint, int]:
     m = _rank(A)
     M = hnf(SubgroupMatrix(disc, N, _left_kernel(A, disc), check_rank=False))
     assert M.r == N - m
-    for row in M.rows:  # the defining equations kill the free part exactly
-        for j in range(x.spec.rank):
-            assert _dot(disc, row, [a[j] for a in A]).is_zero()
+    for column in zip(*A):  # the defining equations kill the free part exactly
+        assert all(e.is_zero() for e in M.evaluate(column))
     return M, x.torsion_point(), m
 
 

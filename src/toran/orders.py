@@ -44,7 +44,16 @@ def norm_omega(disc: int) -> int:
     return _OMEGA[disc][1]
 
 
-class OrderElement:
+class _Frozen:
+    """Base of the value types whose slots are set once, by ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class OrderElement(_Frozen):
     """An element a + b*w of the maximal order of discriminant ``disc``."""
 
     __slots__ = ("disc", "a", "b")
@@ -54,9 +63,6 @@ class OrderElement:
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "a", a if type(a) is int else _integral(a))
         object.__setattr__(self, "b", b if type(b) is int else _integral(b))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrderElement is immutable")
 
     @classmethod
     def zero(cls, disc: int) -> OrderElement:
@@ -329,7 +335,7 @@ def gcd(x: OrderElement, y: OrderElement) -> OrderElement:
     return canonical_associate(x)
 
 
-class QuadRat:
+class QuadRat(_Frozen):
     """An element (p + q*w)/d of the quadratic field, stored as integers with
     d > 0 and gcd(p, q, d) = 1; its coordinates over (1, w) are x = p/d and
     y = q/d."""
@@ -341,9 +347,6 @@ class QuadRat:
         x, y = _rational(x), _rational(y)
         d = int_lcm(x.denominator, y.denominator)
         return _quad(disc, x.numerator * d // x.denominator, y.numerator * d // y.denominator, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadRat is immutable")
 
     x = property(lambda self: Fraction(self.p, self.d))
     y = property(lambda self: Fraction(self.q, self.d))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm as int_lcm
 
 from .mordell_weil import ModulePoint, PointInEN, minimal_coset
-from .orders import OrderElement, QuadRat, _as_element, _dot
+from .orders import OrderElement, QuadRat, _Frozen, _as_element, _dot
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
@@ -56,15 +56,13 @@ class TorsionCoset:
         M = self.subgroup
         if x.N != M.N:
             return False
-        A = x.coefficient_rows()
-        for row in M.rows:
-            for j in range(x.spec.rank):
-                if not _dot(M.disc, row, [a[j] for a in A]).is_zero():
-                    return False
+        for column in zip(*x.coefficient_rows()):
+            if any(not e.is_zero() for e in M.evaluate(column)):
+                return False
         return apply_matrix(M, x.torsion_point()) == apply_matrix(M, self.zeta)
 
 
-class GammaPoint:
+class GammaPoint(_Frozen):
     """A point of E^N together with a relaxed presentation over the module:
     multipliers a_i (non-zero) with a_i * x_i = sum_j b_ij g_j + zeta_i."""
 
@@ -80,9 +78,6 @@ class GammaPoint:
             raise ValueError(f"need {point.N} multipliers, got {len(conv)}")
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "multipliers", tuple(conv))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GammaPoint is immutable")
 
     def coefficient_matrix(self) -> list[list[OrderElement]]:
         """The N x rank matrix b with b_ij = a_i * alpha_ij."""

@@ -17,14 +17,12 @@ from itertools import product as iproduct
 from .orders import (
     OrderElement,
     _as_element,
-    _dot,
     _elements_norm_le,
     canonicalizing_unit,
     norm_omega,
     trace_omega,
 )
 from .subgroups import (
-    RankError,
     SubgroupMatrix,
     _rank,
     _right_kernel,
@@ -40,34 +38,22 @@ from .subgroups import (
 DEFAULT_SIEGEL_CONSTANT = Fraction(8)
 
 
-class LinearSystem:
-    """An m x n system over the order with m < n and independent rows."""
+class LinearSystem(SubgroupMatrix):
+    """An m x n system over the order: a ``SubgroupMatrix`` with m < n."""
 
-    __slots__ = ("disc", "m", "n", "rows")
+    __slots__ = ()
 
     def __init__(self, disc: int, rows):
-        entries = [tuple(row) for row in rows]
-        if not entries:
+        rows = list(rows)
+        if not rows:
             raise ValueError("system needs at least one row")
-        n = len(entries[0])
-        if any(len(row) != n for row in entries):
-            raise ValueError("ragged system rows")
-        for row in entries:
-            for e in row:
-                if not isinstance(e, OrderElement) or e.disc != disc:
-                    raise ValueError("entries must be OrderElement over disc")
-        m = len(entries)
+        m, n = len(rows), len(rows[0])
         if m >= n:
             raise ValueError(f"need fewer equations than unknowns, got {m} x {n}")
-        if _rank(entries) != m:
-            raise RankError("system rows are dependent")
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", tuple(entries))
+        super().__init__(disc, n, rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSystem is immutable")
+    m = property(lambda self: self.r)
+    n = property(lambda self: self.N)
 
     @classmethod
     def from_ints(cls, disc: int, rows) -> LinearSystem:
@@ -78,9 +64,6 @@ class LinearSystem:
 
     def size_term(self) -> int:
         return _row_norm_product(self.rows)
-
-    def evaluate(self, v: list[OrderElement]) -> list[OrderElement]:
-        return [_dot(self.disc, row, v) for row in self.rows]
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,7 @@ class SiegelCertificate:
     def holds(self) -> bool:
         lhs = Fraction(self.achieved_norm) ** self.exp_den
         rhs = self.constant**self.exp_den * Fraction(self.size_term) ** self.exp_num
-        return lhs <= rhs
+        return self.constant > 0 and lhs <= rhs  # even powers hide the sign
 
     def required_constant(self) -> float:
         """The smallest constant that would certify these solutions."""
@@ -173,8 +156,11 @@ def small_solution(
 
     Deterministic: reduced basis vectors are taken in increasing max-norm
     order.  If the certificate with the given constant fails and the system
-    is small, an exhaustive box search replaces the reduced vectors.
+    is small, an exhaustive box search replaces the reduced vectors.  The
+    constant must be positive.
     """
+    if constant <= 0:
+        raise ValueError(f"need a positive constant, got {constant}")
     if not 1 <= count <= system.n - system.m:
         raise ValueError(
             f"count must lie in [1, {system.n - system.m}], got {count}"
@@ -263,7 +249,7 @@ def complete_to_square(
     """
     if M.r == 0 or M.r == M.N:
         raise ValueError("matrix must have 1 <= r < N rows to complete")
-    system = LinearSystem(M.disc, [list(r) for r in M.rows])
+    system = LinearSystem(M.disc, M.rows)
     vectors, cert = small_solution(system, count=M.N - M.r, constant=constant)
     bottom = [[e.conjugate() for e in v] for v in vectors]
     full = SubgroupMatrix(M.disc, M.N, [list(r) for r in M.rows] + bottom)

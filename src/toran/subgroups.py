@@ -18,6 +18,7 @@ from .orders import (
     DiscMismatchError,
     OrderElement,
     QuadRat,
+    _Frozen,
     _as_element,
     _dot,
     _nearest,
@@ -42,8 +43,9 @@ def _check_same(disc: int, n: int, other_disc: int, other_n: int) -> None:
         raise ValueError(f"ambient powers differ: {n} vs {other_n}")
 
 
-class SubgroupMatrix:
-    """An r x N full-row-rank matrix over the order of discriminant ``disc``."""
+class SubgroupMatrix(_Frozen):
+    """An r x N full-row-rank matrix over the order of discriminant ``disc``;
+    one built with ``check_rank=False`` may hold a dependent stack of rows."""
 
     # _smith: (d, V) of the integer model's Smith form, set on first use
     __slots__ = ("disc", "N", "r", "rows", "_smith")
@@ -71,9 +73,6 @@ class SubgroupMatrix:
         if check_rank and _rank(self.rows) != self.r:
             raise RankError(f"matrix rows are dependent (r = {self.r})")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SubgroupMatrix is immutable")
-
     @classmethod
     def from_ints(cls, disc: int, rows: list[list]) -> SubgroupMatrix:
         """Build from (a, b) pairs or plain integers."""
@@ -88,6 +87,10 @@ class SubgroupMatrix:
     @property
     def codim(self) -> int:
         return self.r
+
+    def evaluate(self, v) -> list[OrderElement]:
+        """The product M*v for a length-N vector v over the order."""
+        return [_dot(self.disc, row, v) for row in self.rows]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubgroupMatrix):
@@ -277,7 +280,7 @@ def degree_surrogate(M: SubgroupMatrix) -> DegreeSurrogate:
 # torsion points and torsion-level kernels
 
 
-class TorsionPoint:
+class TorsionPoint(_Frozen):
     """A torsion point of E^N written as coords/level with coords in the order.
 
     The point with coordinates (c_1/n, ..., c_N/n) modulo the period lattice;
@@ -300,9 +303,6 @@ class TorsionPoint:
         object.__setattr__(self, "N", len(reduced))
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "coords", tuple(reduced))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorsionPoint is immutable")
 
     @classmethod
     def zero(cls, disc: int, n_ambient: int, level: int = 1) -> TorsionPoint:
@@ -363,8 +363,7 @@ class TorsionPoint:
 def apply_matrix(M: SubgroupMatrix, zeta: TorsionPoint) -> TorsionPoint:
     """The image M*zeta, a torsion point of E^r at the same level."""
     _check_same(M.disc, M.N, zeta.disc, zeta.N)
-    coords = [_dot(M.disc, row, zeta.coords) for row in M.rows]
-    return TorsionPoint(M.disc, zeta.level, coords)
+    return TorsionPoint(M.disc, zeta.level, M.evaluate(zeta.coords))
 
 
 def _int_block(e: OrderElement) -> list[list[int]]:

@@ -404,6 +404,29 @@ def test_siegel(capsys, tmp_path):
     assert obj["certificate"]["achieved_norm"] == 9
 
 
+@pytest.mark.parametrize("command", ["siegel", "complement"])
+@pytest.mark.parametrize("constant", ["-8", "0"])
+def test_nonpositive_constant_exits_2(capsys, tmp_path, command, constant):
+    # with n - m = 2, c = -8 would square to the certificate of c = 8
+    path = tmp_path / "sys.txt"
+    path.write_text("-4 3 1\n2 3 5\n")
+    code, out, err = run_cli(capsys, [command, "--matrix", str(path), f"--constant={constant}"])
+    assert code == 2 and not out
+    assert err == f"error: need a positive constant, got {constant}\n"
+
+
+def test_siegel_box_search_replaces_the_basis(capsys, tmp_path):
+    path = tmp_path / "sys.txt"
+    path.write_text("-3 4 1\n3 1+1*w 2 5\n")
+    argv = ["siegel", "--matrix", str(path), "--constant", "1/1000"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["solutions"] == [["-1", "0", "-1", "1"]]
+    code, out, _ = run_cli(capsys, [*argv, "--no-box-fallback"])
+    assert code == 0
+    assert json.loads(out)["solutions"] == [["1", "0", "1", "-1"]]
+
+
 def test_complement(capsys, tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("-4 2 1\n1 0\n")

@@ -537,3 +537,54 @@ def test_quadrat_matches_fraction_reference():
         else:
             with pytest.raises(ValueError, match="not integral"):
                 x.to_order()
+
+
+FROZEN_TYPES = (
+    "OrderElement",
+    "QuadRat",
+    "SubgroupMatrix",
+    "LinearSystem",
+    "TorsionPoint",
+    "ModuleSpec",
+    "ModulePoint",
+    "PointInEN",
+    "GammaPoint",
+)
+
+
+def _frozen_instance(name):
+    from toran.mordell_weil import ModulePoint, ModuleSpec, PointInEN
+    from toran.orders import QuadRat
+    from toran.reductions import GammaPoint
+    from toran.siegel import LinearSystem
+    from toran.subgroups import SubgroupMatrix, TorsionPoint
+
+    spec = ModuleSpec(-4, 1, [[1]], torsion_order=3)
+    x = PointInEN.from_rows(spec, [[1], [2]])
+    return {
+        "OrderElement": lambda: OrderElement(-4, 2, 1),
+        "QuadRat": lambda: QuadRat(-4, Fraction(1, 2), 3),
+        "SubgroupMatrix": lambda: SubgroupMatrix.from_ints(-4, [[1, 2]]),
+        "LinearSystem": lambda: LinearSystem.from_ints(-4, [[1, 2]]),
+        "TorsionPoint": lambda: TorsionPoint(-4, 5, [OrderElement(-4, 2, 3)]),
+        "ModuleSpec": lambda: spec,
+        "ModulePoint": lambda: x.coords[0],
+        "PointInEN": lambda: x,
+        "GammaPoint": lambda: GammaPoint(x),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", FROZEN_TYPES)
+def test_value_types_are_immutable(name):
+    obj = _frozen_instance(name)
+    assert type(obj).__name__ == name
+    assert not hasattr(obj, "__dict__")
+    slots = [a for cls in type(obj).__mro__ for a in getattr(cls, "__slots__", ())]
+    assert slots
+    for attr in slots:
+        before = getattr(obj, attr, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(obj, attr, before)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        obj.extra = 1
+    assert not hasattr(obj, "extra")

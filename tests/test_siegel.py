@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from toran.orders import EUCLIDEAN_DISCS, OrderElement
+from toran import siegel
+from toran.orders import EUCLIDEAN_DISCS, OrderElement, format_element, parse_element
 from toran.siegel import (
     DEFAULT_SIEGEL_CONSTANT,
     LinearSystem,
@@ -135,3 +136,74 @@ def test_complete_to_square_rejects_square():
     M = SubgroupMatrix.from_ints(-4, [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         complete_to_square(M)
+
+
+def test_nonpositive_constant_is_refused():
+    system = LinearSystem.from_ints(-4, [[2, 3, 5]])
+    for c in (Fraction(-8), Fraction(0), Fraction(-1, 1000)):
+        with pytest.raises(ValueError, match="positive constant"):
+            small_solution(system, constant=c)
+    M = SubgroupMatrix.from_ints(-4, [[2, 3, 5]])
+    with pytest.raises(ValueError, match="positive constant"):
+        complete_to_square(M, constant=Fraction(-8))
+    # an even exponent n - m must not let -c certify what c certifies
+    assert SiegelCertificate(28, 13, 1, 2, Fraction(8)).holds()
+    assert not SiegelCertificate(28, 13, 1, 2, Fraction(-8)).holds()
+    assert not SiegelCertificate(0, 13, 1, 2, Fraction(0)).holds()
+
+
+def test_linear_system_is_a_subgroup_matrix():
+    s = LinearSystem.from_ints(-7, [[(1, 1), 2, (0, 1)], [1, 0, 3]])
+    assert isinstance(s, SubgroupMatrix)
+    assert (s.m, s.n) == (s.r, s.N) == (2, 3)
+    v = [OrderElement(-7, 1, 0), OrderElement(-7, 0, 1), OrderElement(-7, 2, -1)]
+    assert s.evaluate(v) == SubgroupMatrix(-7, 3, s.rows).evaluate(v)
+    assert s.evaluate(v) == [sum((a * b for a, b in zip(row, v)), OrderElement.zero(-7)) for row in s.rows]
+    with pytest.raises(ValueError, match="at least one row"):
+        LinearSystem(-4, [])
+
+
+# Seeded 1 x n systems (entries a + b*w with |a|, |b| <= 3, drawn from
+# random.Random(f"{disc}:{n}:{count}") until the box search returns a result)
+# whose LLL vectors fail the certificate at c = 1/1000, so the box search
+# replaces them.  The solutions are pinned as the box search returns them:
+# not unit-normalised, and different from the LLL path's in every case.
+BOX_PINS = [
+    (-3, ["-2", "2+2*w"], 1, [["-2+1*w", "-1+1*w"]]),
+    (-4, ["3-1*w", "-2-1*w"], 1, [["-1", "-1+1*w"]]),
+    (-7, ["3+3*w", "2-2*w"], 1, [["-1*w", "-3"]]),
+    (-8, ["-2+1*w", "2*w"], 1, [["-2", "1+1*w"]]),
+    (-11, ["-2*w", "3-1*w"], 1, [["-1*w", "2"]]),
+    (-3, ["2-1*w", "1-2*w", "1*w"], 1, [["-1", "1*w", "0"]]),
+    (-4, ["-2-1*w", "3-1*w", "-2-2*w"], 1, [["-1-1*w", "-1*w", "0"]]),
+    (-7, ["-1+3*w", "-3-2*w", "-3+3*w"], 1, [["-1", "1-1*w", "-1*w"]]),
+    (-8, ["2", "1+3*w", "-2+1*w"], 1, [["-1-1*w", "0", "-1*w"]]),
+    (-11, ["-3+3*w", "1-1*w", "3+1*w"], 1, [["-1", "1*w", "-1+1*w"]]),
+    (-3, ["1+1*w", "-2-2*w", "2-1*w"], 2, [["-1", "0", "1*w"], ["-1", "-1", "-1*w"]]),
+    (-4, ["-3-3*w", "-3", "2*w"], 2, [["0", "-2", "3*w"], ["-1", "-1+1*w", "3*w"]]),
+    (-7, ["1*w", "-3-1*w", "1"], 2, [["-1", "0", "1*w"], ["-1+1*w", "-1", "-1-1*w"]]),
+    (-8, ["-2+1*w", "-1+3*w", "-3-2*w"], 2, [["-1*w", "-1+1*w", "-1"], ["-1+1*w", "1*w", "-2"]]),
+    (-11, ["-3-1*w", "2-2*w", "-2+3*w"], 2, [["-1", "-2+1*w", "-2+1*w"], ["-2+1*w", "1", "1+1*w"]]),
+]
+
+
+@pytest.mark.parametrize(
+    "disc, row, count, expected",
+    BOX_PINS,
+    ids=[f"disc{d}-n{len(row)}-count{c}" for d, row, c, _ in BOX_PINS],
+)
+def test_box_search_outputs_pinned(monkeypatch, disc, row, count, expected):
+    boxed, box_search = [], siegel._box_search
+
+    def recording_box_search(*args, **kwargs):
+        boxed.append(box_search(*args, **kwargs))
+        return boxed[-1]
+
+    monkeypatch.setattr(siegel, "_box_search", recording_box_search)
+    system = LinearSystem(disc, [[parse_element(e, disc) for e in row]])
+    sols, cert = small_solution(system, count=count, constant=Fraction(1, 1000))
+    assert [[format_element(e) for e in v] for v in sols] == expected
+    assert len(boxed) == 1 and boxed[0] == sols
+    assert not cert.holds()
+    lll, _ = small_solution(system, count=count, constant=Fraction(1, 1000), box_fallback=False)
+    assert lll != sols
