@@ -293,9 +293,7 @@ def _compose_power(terms, outer_exp: Fraction):
 
 
 def _b_main_degY(p):
-    n, d = _int_param(p, "N", 2), _int_param(p, "d", 1)
-    _need(d <= n - 2, f"need d <= N-2, got d={d}, N={n}")
-    s = n - 1 - d
+    n, d, s = _tadimzero_range(p)
     return [_t(HDEG, Frac(n - 2, s)), _t(KTOR, Frac(d - 1, s))], _standard_bases(p)
 
 
@@ -648,6 +646,9 @@ _CATALOG = {
 
 _LOWER = frozenset({"galateau_lower", "carrizosa_lower"})
 
+# closed-form ids evaluated directly in evaluate_bound, outside _CATALOG
+_CLOSED_FORM = ("zhang_sandwich", "bezout", "kappa", "mw_field")
+
 
 def eta_threshold(theorem_id: str, params: dict) -> Fraction:
     """Validity cap for eta: every catalog bound here holds for all positive
@@ -661,8 +662,7 @@ def eta_threshold(theorem_id: str, params: dict) -> Fraction:
 
 
 def catalog_ids() -> list[str]:
-    out = sorted(_CATALOG) + ["zhang_sandwich", "bezout", "kappa", "mw_field"]
-    return sorted(out)
+    return sorted([*_CATALOG, *_CLOSED_FORM])
 
 
 def evaluate_bound(
@@ -681,6 +681,13 @@ def evaluate_bound(
     c = Fraction(constants.get(theorem_id, constants.get("c", 1)))
     if eta < 0:
         raise BoundRangeError(f"need eta >= 0, got {eta}")
+    if theorem_id not in _CATALOG and theorem_id not in _CLOSED_FORM:
+        raise BoundRangeError(f"unknown theorem id {theorem_id!r}")
+    thr = eta_threshold(theorem_id, params)
+    if eta > thr:
+        raise BoundRangeError(
+            f"need eta <= {thr} for {theorem_id}, got {eta}"
+        )
 
     if theorem_id == "zhang_sandwich":
         h = _pos(params, "hX", 0)
@@ -709,13 +716,6 @@ def evaluate_bound(
         value = Fraction(3 ** (16 * n**4))
         return BoundResult(theorem_id, "value", c, (), {"N": Fraction(n)}, eta, value, True)
 
-    if theorem_id not in _CATALOG:
-        raise BoundRangeError(f"unknown theorem id {theorem_id!r}")
-    thr = eta_threshold(theorem_id, params)
-    if eta > thr:
-        raise BoundRangeError(
-            f"need eta <= {thr} for {theorem_id}, got {eta}"
-        )
     terms, bases = _CATALOG[theorem_id](params)
     value, exact = _evaluate(c, terms, bases, eta)
     direction = "lower" if theorem_id in _LOWER else "upper"

@@ -185,9 +185,7 @@ def _sweep(args, constants) -> int:
 
 
 def _cmd_identities(args) -> int:
-    max_n = getattr(args, "max_n", 12)
-    eta = Fraction(getattr(args, "id_eta", "1/10"))
-    _emit(exponent_identities(max_n=max_n, eta=eta))
+    _emit(exponent_identities(max_n=args.max_n, eta=Fraction(args.id_eta)))
     return EXIT_OK
 
 

@@ -174,8 +174,8 @@ class OrderElement(_Frozen):
 
 
 def _integral(v) -> int:
-    n = int(v)
-    if n != v:
+    # a float is refused even when integral: 10**17 + 1.0 is already 10**17
+    if isinstance(v, float) or (n := int(v)) != v:
         raise ValueError(f"{v!r} is not an integer")
     return n
 

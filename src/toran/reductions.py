@@ -23,7 +23,6 @@ from .subgroups import (
     apply_matrix,
     hnf,
     is_anomalous,
-    solve_field,
 )
 
 
@@ -110,12 +109,25 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
         return TorsionCoset(M, TorsionPoint.zero(disc, N))
     R = x.spec.torsion_order
     beta = [c.torsion for c in x.coords]
-    rhs = [QuadRat.from_order(_dot(disc, row, beta)) / R for row in raw_rows]
-    z = solve_field(raw_rows, rhs, disc)
+    # zeta solves M z = M beta / R.  The raw rows are independent (U is a
+    # saturated kernel basis, every multiplier is non-zero), so the Hermite
+    # form of [M | M beta] pivots only in the first N columns: those are
+    # hnf(M), and the last column carries the right-hand side along.
+    aug = [row + [_dot(disc, row, beta)] for row in raw_rows]
+    H = hnf(SubgroupMatrix(disc, N + 1, aug, check_rank=False)).rows
+    # back-substitution gives the one solution that is zero off the pivots
+    z = [QuadRat.zero(disc)] * N
+    for row in reversed(H):
+        c = next(j for j, e in enumerate(row) if e)
+        acc = QuadRat.from_order(row[N]) / R
+        for j in range(c + 1, N):
+            acc = acc - z[j] * row[j]
+        z[c] = acc / row[c]
     level = int_lcm(1, *(c.d for c in z))
     coords = [OrderElement(disc, c.p * (level // c.d), c.q * (level // c.d)) for c in z]
     zeta = TorsionPoint(disc, level, coords)
-    coset = TorsionCoset(hnf(SubgroupMatrix(disc, N, raw_rows, check_rank=False)), zeta)
+    M = SubgroupMatrix(disc, N, [row[:N] for row in H], check_rank=False)
+    coset = TorsionCoset(M, zeta)
     assert coset.codim == N - m
     assert coset.contains(x)
     return coset

@@ -17,7 +17,6 @@ from .intlattice import det_int, hnf_int, snf_int
 from .orders import (
     DiscMismatchError,
     OrderElement,
-    QuadRat,
     _Frozen,
     _as_element,
     _dot,
@@ -610,47 +609,3 @@ def translate_has_no_anomalous(
         return False
     assert dim_sum < H.N
     return True
-
-
-# ---------------------------------------------------------------------------
-# field-level solves (used for coset base points)
-
-
-def solve_field(
-    rows: list[list[OrderElement]], rhs: list[QuadRat], disc: int
-) -> list[QuadRat]:
-    """One solution over the fraction field of M z = rhs (M full row rank)."""
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    A = [[QuadRat.from_order(e) for e in row] + [rhs[i]] for i, row in enumerate(rows)]
-    piv_cols = []
-    ri = 0
-    for c in range(n):
-        piv = None
-        for k in range(ri, m):
-            if A[k][c]:
-                piv = k
-                break
-        if piv is None:
-            continue
-        A[ri], A[piv] = A[piv], A[ri]
-        inv = A[ri][c]
-        A[ri] = [x / inv for x in A[ri]]
-        for k in range(m):
-            if k != ri and A[k][c]:
-                f = A[k][c]
-                A[k] = [x - f * y for x, y in zip(A[k], A[ri])]
-        piv_cols.append(c)
-        ri += 1
-        if ri == m:
-            break
-    if ri < m:
-        for k in range(ri, m):
-            if A[k][n]:
-                raise RankError("system is inconsistent")
-    z = [QuadRat.zero(disc) for _ in range(n)]
-    for i, c in enumerate(piv_cols):
-        z[c] = A[i][n]
-    return z

@@ -286,6 +286,15 @@ def test_eta_thresholds():
     evaluate_bound("carrizosa_lower", F(1, 2), dimB=2, degB=4, ktorV=3)
 
 
+def test_every_id_refuses_eta_above_threshold():
+    for theorem_id, params in EVAL_PARAMS.items():
+        thr = eta_threshold(theorem_id, params)
+        with pytest.raises(BoundRangeError, match=f"need eta <= {thr}"):
+            evaluate_bound(theorem_id, thr + 4, **params)
+    with pytest.raises(BoundRangeError, match="unknown theorem id"):
+        evaluate_bound("no_such_bound", 5)
+
+
 def test_omega_min():
     r = omega_min(2, [(4, 1), (32, 2)])
     assert (r.base, r.exponent, r.tied) == (F(2), F(1), False)

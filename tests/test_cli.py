@@ -92,6 +92,14 @@ def test_bounds_rejects_bad_range(capsys):
     assert "error:" in err
 
 
+def test_bounds_rejects_eta_above_threshold(capsys):
+    code, out, err = run_cli(
+        capsys, ["bounds", "--theorem", "kappa", "--eta", "5", "--param", "g0=1"]
+    )
+    assert code == 2 and not out
+    assert "need eta <= 1" in err
+
+
 def test_bounds_requires_theorem(capsys):
     code, _, err = run_cli(capsys, ["bounds"])
     assert code == 2 and "theorem" in err

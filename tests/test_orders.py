@@ -193,7 +193,7 @@ def test_coercion_accepts_elements_pairs_and_integers(caller):
 @pytest.mark.parametrize("caller", COERCING_CALLERS)
 def test_coercion_rejects_non_integral_values(caller):
     build = _coercing_caller(caller, -4)
-    for v in (Fraction(3, 2), (Fraction(3, 2), 0), 1.5):
+    for v in (Fraction(3, 2), (Fraction(3, 2), 0), 1.5, 2.0, (2.0, 0)):
         with pytest.raises(ValueError, match="not an integer"):
             build(v)
 
@@ -380,7 +380,7 @@ def test_division_rejects_mismatched_discriminants():
 
 
 def test_constructors_are_exact():
-    for a in (2.5, 0.1, Fraction(3, 2)):
+    for a in (2.5, 0.1, 2.0, 10**17 + 1.0, Fraction(3, 2)):
         with pytest.raises(ValueError, match="not an integer"):
             OrderElement(-4, a, 0)
         with pytest.raises(ValueError, match="not an integer"):

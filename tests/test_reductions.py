@@ -1,5 +1,6 @@
 """Relaxed presentations, torsion-variety eliminations and transverse lifts."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from toran.reductions import (
     gamma_to_torsion_variety,
     transverse_lift,
 )
+from toran.serialize import dumps_canonical, matrix_to_json_dict, torsion_point_to_json_dict
 from toran.subgroups import SubgroupMatrix, TorsionPoint, _rank
 
 DISCS = list(EUCLIDEAN_DISCS)
@@ -97,6 +99,46 @@ def test_elimination_torsion_point():
     assert coset.dim == 0
     assert coset.contains(x)
     assert coset.zeta == x.torsion_point()
+
+
+def _pinned_gamma_points(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        disc = rng.choice(DISCS)
+        rank = rng.randint(1, 3)
+        gram = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        R = rng.randint(1, 6)
+        spec = ModuleSpec(disc, rank, gram, torsion_order=R)
+        n = rng.randint(1, 5)
+        rows = [[(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rank)] for _ in range(n)]
+        torsions = [(rng.randrange(R), rng.randrange(R)) for _ in range(n)]
+        x = PointInEN.from_rows(spec, rows, torsions)
+        mult = None
+        if rng.random() < 0.6:
+            mult = []
+            while len(mult) < n:
+                a = OrderElement(disc, rng.randint(-3, 3), rng.randint(-3, 3))
+                if a:
+                    mult.append(a)
+        out.append(GammaPoint(x, mult))
+    return out
+
+
+def test_elimination_outputs_pinned():
+    """Subgroup matrix and base point of 1,000 seeded eliminations, pinned by
+    the SHA-256 of their canonical JSON, so any changed base point shows."""
+    h = hashlib.sha256()
+    nonzero = 0
+    for gp in _pinned_gamma_points(23, 1000):
+        coset = gamma_to_torsion_variety(gp)
+        nonzero += not coset.zeta.is_zero()
+        pair = [matrix_to_json_dict(coset.subgroup), torsion_point_to_json_dict(coset.zeta)]
+        h.update(dumps_canonical(pair).encode())
+    assert nonzero > 400
+    assert h.hexdigest() == (
+        "875f97419a797aab32070c371a3087cfe245b83f0078e9e616177fd920e4558e"
+    )
 
 
 def test_transverse_lift_frozen():

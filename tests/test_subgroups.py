@@ -7,7 +7,7 @@ import random
 import pytest
 
 from toran.intlattice import det_int, hnf_int, rank_int, snf_int
-from toran.orders import EUCLIDEAN_DISCS, OrderElement, QuadRat, _dot, units
+from toran.orders import EUCLIDEAN_DISCS, OrderElement, _dot, units
 from toran.subgroups import (
     BudgetExceededError,
     RankError,
@@ -34,7 +34,6 @@ from toran.subgroups import (
     orthogonal_complement,
     parametrization,
     saturate,
-    solve_field,
     sum_and_intersection,
     tangent_orthogonal,
     translate_has_no_anomalous,
@@ -478,36 +477,6 @@ def test_translate_certificate():
     assert translate_has_no_anomalous(H, B, 0)
     B_big = SubgroupMatrix.from_ints(-4, [[1, 0, 0]])
     assert not translate_has_no_anomalous(H, B_big, 0)
-
-
-def test_solve_field():
-    rng = random.Random(71)
-    for _ in range(80):
-        disc = rng.choice(DISCS)
-        n = rng.randint(1, 3)
-        r = rng.randint(1, n)
-        M = random_matrix(rng, disc, n, r)
-        z0 = [QuadRat(disc, rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(n)]
-        rhs = []
-        for row in M.rows:
-            acc = QuadRat.zero(disc)
-            for e, z in zip(row, z0):
-                acc = acc + QuadRat.from_order(e) * z
-            rhs.append(acc)
-        z = solve_field([list(row) for row in M.rows], rhs, disc)
-        for row, want in zip(M.rows, rhs):
-            acc = QuadRat.zero(disc)
-            for e, zi in zip(row, z):
-                acc = acc + QuadRat.from_order(e) * zi
-            assert acc == want
-
-
-def test_solve_field_inconsistent():
-    one = OrderElement.one(-4)
-    rows = [[one, one], [one, one]]
-    rhs = [QuadRat.one(-4), QuadRat(-4, 2, 0)]
-    with pytest.raises(RankError):
-        solve_field(rows, rhs, -4)
 
 
 # the cases cover every discriminant with r running from 0 to N
