@@ -20,6 +20,7 @@ mnemonics for the bound families, one id per displayed inequality.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -134,6 +135,8 @@ def _evaluate(
     d = lcm(*(e.denominator for e in exps))
     acc = Fraction(1)
     for t, e in zip(terms, exps):
+        if t.base not in bases:
+            raise BoundRangeError(f"missing parameter {_OPTIONAL_BASES[t.base]}")
         b = Fraction(bases[t.base])
         if b <= 0:
             raise BoundRangeError(f"base {t.base} must be positive, got {b}")
@@ -146,21 +149,22 @@ def _evaluate(
 # closed-form exponents used in several places
 
 
-def tadimzero_a1(n: int, d: int) -> Fraction:
-    """Exponent of (h+deg)*ktor in the isolated-point count bound."""
+def _isolated_codim(n: int, d: int) -> int:
+    """N - 1 - d, once 1 <= d <= N-2 is checked."""
     _need(n - d - 1 >= 1, f"need d <= N-2, got d={d}, N={n}")
     _need(d >= 1, f"need d >= 1, got d={d}")
-    return Frac(
-        (n - 1) * (2 * (n + 1) * (n - d - 1) + d * n * (2 * n + 1)),
-        2 * (n - d - 1) ** 2,
-    )
+    return n - d - 1
+
+
+def tadimzero_a1(n: int, d: int) -> Fraction:
+    """Exponent of (h+deg)*ktor in the isolated-point count bound."""
+    s = _isolated_codim(n, d)
+    return Frac((n - 1) * (2 * (n + 1) * s + d * n * (2 * n + 1)), 2 * s**2)
 
 
 def tadimzero_a2(n: int, d: int) -> Fraction:
     """Exponent of deg (less one) and of k in the isolated-point count bound."""
-    _need(n - d - 1 >= 1, f"need d <= N-2, got d={d}, N={n}")
-    _need(d >= 1, f"need d >= 1, got d={d}")
-    return Frac(n * (n - 1) * (2 * n + 1), 2 * (n - d - 1))
+    return Frac(n * (n - 1) * (2 * n + 1), 2 * _isolated_codim(n, d))
 
 
 def curva_b1(n: int, r: int) -> Fraction:
@@ -193,8 +197,6 @@ def height_exponent_max(n: int) -> tuple[Fraction, int]:
     _need(n >= 3, f"need N >= 3, got N={n}")
     best = None
     for r in range(n // 2 + 1, n):
-        if 2 * r <= n:
-            continue
         v = Frac(r, 2 * r - n)
         if best is None or v > best[0]:
             best = (v, r)
@@ -239,23 +241,28 @@ KREL = "k"
 HDEG_G = "h+(hg+1)deg"
 
 
+# the bases _standard_bases adds only when their parameter is given
+_OPTIONAL_BASES = {KTOR: "ktorV", KREL: "kV"}
+
+
+def _param(params: dict, name: str):
+    _need(params.get(name) is not None, f"missing parameter {name}")
+    return params[name]
+
+
 def _pos(params: dict, name: str, minimum=1) -> Fraction:
-    if name not in params or params[name] is None:
-        raise BoundRangeError(f"missing parameter {name}")
-    v = Fraction(params[name])
+    v = Fraction(_param(params, name))
     if v < minimum:
         raise BoundRangeError(f"need {name} >= {minimum}, got {v}")
     return v
 
 
-def _int_param(params: dict, name: str, minimum=0) -> int:
-    if name not in params or params[name] is None:
-        raise BoundRangeError(f"missing parameter {name}")
-    v = params[name]
+def _int_param(params: dict, name: str, minimum=None) -> int:
+    v = _param(params, name)
     if int(v) != v:
         raise BoundRangeError(f"{name} must be an integer, got {v}")
     v = int(v)
-    if v < minimum:
+    if minimum is not None and v < minimum:
         raise BoundRangeError(f"need {name} >= {minimum}, got {v}")
     return v
 
@@ -264,10 +271,9 @@ def _standard_bases(params: dict, lifted: bool = False) -> dict:
     hv = _pos(params, "hV", 0)
     degv = _pos(params, "degV", 1)
     out = {DEG: degv, HDEG: hv + degv}
-    if "ktorV" in params and params["ktorV"] is not None:
-        out[KTOR] = _pos(params, "ktorV", 1)
-    if "kV" in params and params["kV"] is not None:
-        out[KREL] = _pos(params, "kV", 1)
+    for base, name in _OPTIONAL_BASES.items():
+        if params.get(name) is not None:
+            out[base] = _pos(params, name, 1)
     if lifted:
         hg = _pos(params, "hg", 0)
         out[HDEG_G] = hv + (hg + 1) * degv
@@ -391,27 +397,27 @@ def _b_teoremone_iv(p):
     return terms, _standard_bases(p, lifted=True)
 
 
-def _weakstrict_exp(p) -> Fraction:
+def _codim_range(p) -> tuple[int, int, int]:
     n, d, r = _int_param(p, "N", 2), _int_param(p, "d", 0), _int_param(p, "r", 1)
     _need(d < n, f"need d < N, got d={d}, N={n}")
     _need(n - d >= 2, f"need codim V >= 2, got codim={n - d}")
     _need(r <= n, f"need r <= N, got r={r}, N={n}")
-    return Frac(r, n - d - 1)
+    return n, d, r
 
 
 def _b_weakstrict_degB(p):
-    return [_t(HDEG, _weakstrict_exp(p))], _standard_bases(p)
+    n, d, r = _codim_range(p)
+    return [_t(HDEG, Frac(r, n - d - 1))], _standard_bases(p)
 
 
 def _b_weakstrict_degY(p):
-    e = _weakstrict_exp(p)
-    return [_t(DEG, 1, 0), _t(HDEG, e - 1)], _standard_bases(p)
+    n, d, r = _codim_range(p)
+    return [_t(DEG, 1, 0), _t(HDEG, Frac(r, n - d - 1) - 1)], _standard_bases(p)
 
 
 def _tadimzero_range(p) -> tuple[int, int, int]:
     n, d = _int_param(p, "N", 2), _int_param(p, "d", 1)
-    _need(d <= n - 2, f"need d <= N-2, got d={d}, N={n}")
-    return n, d, n - 1 - d
+    return n, d, _isolated_codim(n, d)
 
 
 def _b_tadimzero_degB(p):
@@ -456,10 +462,7 @@ def _b_tadimzero2_S(p):
 
 
 def _trasla_range(p) -> tuple[int, int, int, int]:
-    n, d, r = _int_param(p, "N", 2), _int_param(p, "d", 0), _int_param(p, "r", 1)
-    _need(d < n, f"need d < N, got d={d}, N={n}")
-    _need(n - d >= 2, f"need codim V >= 2, got codim={n - d}")
-    _need(r <= n, f"need r <= N, got r={r}, N={n}")
+    n, d, r = _codim_range(p)
     r1 = r + d - n + 1  # dim V - dim B + 1
     _need(r1 >= 0, f"need dim B <= dim V + 1, got dim B={n - r}, dim V={d}")
     return n, d, r, r1
@@ -599,70 +602,112 @@ def _b_bombieri_zannier(p):
     return [_t(DEG, 2**dim_v, 0)], {DEG: _pos(p, "degV", 1)}
 
 
-# Ids that share a function state the same bound: main_hY is tadimzero_hY0,
+def _cap_galateau(p):
+    return Frac(1, max(1, _int_param(p, "dimB") - _int_param(p, "dimY")))
+
+
+def _cap_carrizosa(p):
+    return Frac(1, max(1, _int_param(p, "dimB")))
+
+
+def _c_zhang_sandwich(p, constants):
+    h, deg = _pos(p, "hX", 0), _pos(p, "degX", 1)
+    hi = h / deg
+    return {"hX": h, "degX": deg}, hi, hi / (1 + _int_param(p, "dimX", 0))
+
+
+def _c_bezout(p, constants):
+    deg_x, h_x = _pos(p, "degX", 1), _pos(p, "hX", 0)
+    deg_y, h_y = _pos(p, "degY", 1), _pos(p, "hY", 0)
+    cn = Fraction(constants.get("bezout", 1))
+    value = deg_x * h_y + deg_y * h_x + cn * deg_x * deg_y
+    return {"degX": deg_x, "hX": h_x, "degY": deg_y, "hY": h_y}, value, None
+
+
+def _c_kappa(p, constants):
+    g0 = _int_param(p, "g0", 1)
+    value = 2 ** (2 * g0 + 1) * g0 ** (4 * g0) * factorial(g0 + 1) ** (2 * g0)
+    return {"g0": Fraction(g0)}, Fraction(value), None
+
+
+def _c_mw_field(p, constants):
+    n = _int_param(p, "N", 1)
+    return {"N": Fraction(n)}, Fraction(3 ** (16 * n**4)), None
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One catalog bound: `rule` maps params to a monomial's (terms, bases),
+    or if `closed` maps (params, constants) to (bases, value, value_lo) and
+    only echoes the constant; `cap` maps params to the eta cap (None: 1)."""
+
+    rule: Callable
+    direction: str = "upper"  # "upper", "lower", "interval" or "value"
+    cap: Callable | None = None
+    closed: bool = False
+
+
+# Ids that share a rule state the same bound: main_hY is tadimzero_hY0,
 # weakstrict_hY is weakstrict_degB.  No identity in exponent_identities
 # compares either pair.
 _CATALOG = {
-    "main_hY": _b_tadimzero_hY0,
-    "main_degY": _b_main_degY,
-    "s2c_h": _b_s2c_h,
-    "s2c_deg": _b_s2c_deg,
-    "altezzacurva_h": _b_altezzacurva_h,
-    "altezzacurva_deg": _b_altezzacurva_deg,
-    "ml1": _b_ml1,
-    "ml2": _b_ml2,
-    "mlr": _b_mlr,
-    "mltre": _b_mltre,
-    "teoremone_i": _b_teoremone_i,
-    "teoremone_ii": _b_teoremone_ii,
-    "teoremone_iii": _b_teoremone_iii,
-    "teoremone_iv": _b_teoremone_iv,
-    "weakstrict_degB": _b_weakstrict_degB,
-    "weakstrict_hY": _b_weakstrict_degB,
-    "weakstrict_degY": _b_weakstrict_degY,
-    "tadimzero_degB": _b_tadimzero_degB,
-    "tadimzero_hY0": _b_tadimzero_hY0,
-    "tadimzero_ktorY0": _b_tadimzero_ktorY0,
-    "tadimzero2_kY0": _b_tadimzero2_kY0,
-    "tadimzero2_ordzeta": _b_tadimzero2_ordzeta,
-    "tadimzero2_S": _b_tadimzero2_S,
-    "trasla_degB": _b_trasla_degB,
-    "trasla_h": _b_trasla_h,
-    "trasla_deg": _b_trasla_deg,
-    "trasla2_field": _b_trasla2_field,
-    "trasla2_ord": _b_trasla2_ord,
-    "trasla2_S": _b_trasla2_S,
-    "curva_degH": _b_curva_degH,
-    "curva_hY0": _b_curva_hY0,
-    "curva_kY0": _b_curva_kY0,
-    "curva_S": _b_curva_S,
-    "galateau_lower": _b_galateau,
-    "carrizosa_lower": _b_carrizosa,
-    "serre_order": _b_serre_order,
-    "count_subgroups": _b_count_subgroups,
-    "count_torsion": _b_count_torsion,
-    "bombieri_zannier": _b_bombieri_zannier,
+    "main_hY": _Entry(_b_tadimzero_hY0),
+    "main_degY": _Entry(_b_main_degY),
+    "s2c_h": _Entry(_b_s2c_h),
+    "s2c_deg": _Entry(_b_s2c_deg),
+    "altezzacurva_h": _Entry(_b_altezzacurva_h),
+    "altezzacurva_deg": _Entry(_b_altezzacurva_deg),
+    "ml1": _Entry(_b_ml1),
+    "ml2": _Entry(_b_ml2),
+    "mlr": _Entry(_b_mlr),
+    "mltre": _Entry(_b_mltre),
+    "teoremone_i": _Entry(_b_teoremone_i),
+    "teoremone_ii": _Entry(_b_teoremone_ii),
+    "teoremone_iii": _Entry(_b_teoremone_iii),
+    "teoremone_iv": _Entry(_b_teoremone_iv),
+    "weakstrict_degB": _Entry(_b_weakstrict_degB),
+    "weakstrict_hY": _Entry(_b_weakstrict_degB),
+    "weakstrict_degY": _Entry(_b_weakstrict_degY),
+    "tadimzero_degB": _Entry(_b_tadimzero_degB),
+    "tadimzero_hY0": _Entry(_b_tadimzero_hY0),
+    "tadimzero_ktorY0": _Entry(_b_tadimzero_ktorY0),
+    "tadimzero2_kY0": _Entry(_b_tadimzero2_kY0),
+    "tadimzero2_ordzeta": _Entry(_b_tadimzero2_ordzeta),
+    "tadimzero2_S": _Entry(_b_tadimzero2_S),
+    "trasla_degB": _Entry(_b_trasla_degB),
+    "trasla_h": _Entry(_b_trasla_h),
+    "trasla_deg": _Entry(_b_trasla_deg),
+    "trasla2_field": _Entry(_b_trasla2_field),
+    "trasla2_ord": _Entry(_b_trasla2_ord),
+    "trasla2_S": _Entry(_b_trasla2_S),
+    "curva_degH": _Entry(_b_curva_degH),
+    "curva_hY0": _Entry(_b_curva_hY0),
+    "curva_kY0": _Entry(_b_curva_kY0),
+    "curva_S": _Entry(_b_curva_S),
+    "galateau_lower": _Entry(_b_galateau, "lower", _cap_galateau),
+    "carrizosa_lower": _Entry(_b_carrizosa, "lower", _cap_carrizosa),
+    "serre_order": _Entry(_b_serre_order),
+    "count_subgroups": _Entry(_b_count_subgroups),
+    "count_torsion": _Entry(_b_count_torsion),
+    "bombieri_zannier": _Entry(_b_bombieri_zannier),
+    "zhang_sandwich": _Entry(_c_zhang_sandwich, "interval", closed=True),
+    "bezout": _Entry(_c_bezout, closed=True),
+    "kappa": _Entry(_c_kappa, "value", closed=True),
+    "mw_field": _Entry(_c_mw_field, "value", closed=True),
 }
-
-_LOWER = frozenset({"galateau_lower", "carrizosa_lower"})
-
-# closed-form ids evaluated directly in evaluate_bound, outside _CATALOG
-_CLOSED_FORM = ("zhang_sandwich", "bezout", "kappa", "mw_field")
 
 
 def eta_threshold(theorem_id: str, params: dict) -> Fraction:
     """Validity cap for eta: every catalog bound here holds for all positive
     eta below the cap; lower bounds additionally need a positive exponent."""
-    if theorem_id == "carrizosa_lower":
-        return Frac(1, max(1, int(params.get("dimB", 1))))
-    if theorem_id == "galateau_lower":
-        s = int(params.get("dimB", 1)) - int(params.get("dimY", 0))
-        return Frac(1, max(1, s))
-    return Frac(1)
+    entry = _CATALOG.get(theorem_id)
+    if entry is None or entry.cap is None:
+        return Frac(1)
+    return entry.cap(params)
 
 
 def catalog_ids() -> list[str]:
-    return sorted([*_CATALOG, *_CLOSED_FORM])
+    return sorted(_CATALOG)
 
 
 def evaluate_bound(
@@ -674,54 +719,26 @@ def evaluate_bound(
     """Evaluate one catalog bound at exact rational parameters.
 
     Raises BoundRangeError, naming the violated inequality, for parameters
-    outside the theorem's range or eta above its validity threshold.
+    outside the theorem's range, eta above its cap or a constant <= 0.
     """
     eta = Fraction(eta)
     constants = constants or {}
     c = Fraction(constants.get(theorem_id, constants.get("c", 1)))
-    if eta < 0:
-        raise BoundRangeError(f"need eta >= 0, got {eta}")
-    if theorem_id not in _CATALOG and theorem_id not in _CLOSED_FORM:
-        raise BoundRangeError(f"unknown theorem id {theorem_id!r}")
+    _need(eta >= 0, f"need eta >= 0, got {eta}")
+    entry = _CATALOG.get(theorem_id)
+    _need(entry is not None, f"unknown theorem id {theorem_id!r}")
     thr = eta_threshold(theorem_id, params)
-    if eta > thr:
-        raise BoundRangeError(
-            f"need eta <= {thr} for {theorem_id}, got {eta}"
-        )
-
-    if theorem_id == "zhang_sandwich":
-        h = _pos(params, "hX", 0)
-        deg = _pos(params, "degX", 1)
-        dim = _int_param(params, "dimX", 0)
-        hi = h / deg
-        lo = hi / (1 + dim)
-        return BoundResult(
-            theorem_id, "interval", c, (), {"hX": h, "degX": deg}, eta, hi, True, lo
-        )
-    if theorem_id == "bezout":
-        deg_x, h_x = _pos(params, "degX", 1), _pos(params, "hX", 0)
-        deg_y, h_y = _pos(params, "degY", 1), _pos(params, "hY", 0)
-        cn = Fraction(constants.get("bezout", 1))
-        value = deg_x * h_y + deg_y * h_x + cn * deg_x * deg_y
-        bases = {"degX": deg_x, "hX": h_x, "degY": deg_y, "hY": h_y}
-        return BoundResult(theorem_id, "upper", c, (), bases, eta, value, True)
-    if theorem_id == "kappa":
-        g0 = _int_param(params, "g0", 1)
-        value = Fraction(
-            2 ** (2 * g0 + 1) * g0 ** (4 * g0) * factorial(g0 + 1) ** (2 * g0)
-        )
-        return BoundResult(theorem_id, "value", c, (), {"g0": Fraction(g0)}, eta, value, True)
-    if theorem_id == "mw_field":
-        n = _int_param(params, "N", 1)
-        value = Fraction(3 ** (16 * n**4))
-        return BoundResult(theorem_id, "value", c, (), {"N": Fraction(n)}, eta, value, True)
-
-    terms, bases = _CATALOG[theorem_id](params)
+    _need(eta <= thr, f"need eta <= {thr} for {theorem_id}, got {eta}")
+    _need(c > 0, f"need a positive constant, got {c}")
+    if entry.closed:
+        bases, value, lo = entry.rule(params, constants)
+        return BoundResult(theorem_id, entry.direction, c, (), bases, eta, value, True, lo)
+    terms, bases = entry.rule(params)
     value, exact = _evaluate(c, terms, bases, eta)
-    direction = "lower" if theorem_id in _LOWER else "upper"
     return BoundResult(
-        theorem_id, direction, c, tuple(terms), bases, eta, value, exact
+        theorem_id, entry.direction, c, tuple(terms), bases, eta, value, exact
     )
+
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +784,7 @@ def omega_min(deg_h: int, candidates: list[tuple[int, int]]) -> OmegaMin:
 
 def _terms_of(theorem_id: str, **params) -> dict:
     """Exponent table of a bound without evaluating its numeric value."""
-    terms, _ = _CATALOG[theorem_id](params)
+    terms, _ = _CATALOG[theorem_id].rule(params)
     return {t.base: (t.exponent, t.eta_coeff) for t in terms}
 
 
@@ -811,8 +828,6 @@ def exponent_identities(max_n: int = 12, eta: Fraction = Frac(1, 10)) -> dict:
     detail = "teoremone_iii == curva_S at r = N - t"
     for n in range(3, max_n + 1):
         for t in range(1, (n - 1) // 2 + 1):
-            if 2 * t >= n:
-                continue
             lhs = _terms_of("teoremone_iii", N=n, t=t, hV=1, degV=2, ktorV=3, kV=5)
             rhs = _terms_of("curva_S", N=n, r=n - t, hV=1, degV=2, ktorV=3, kV=5)
             if {k: v[0] for k, v in lhs.items()} != {k: v[0] for k, v in rhs.items()}:
@@ -838,8 +853,6 @@ def exponent_identities(max_n: int = 12, eta: Fraction = Frac(1, 10)) -> dict:
     detail = "mlr == curva_hY0 at r = N - t"
     for n in range(3, max_n + 1):
         for t in range(1, (n + 1) // 2):
-            if 2 * t >= n:
-                continue
             lhs = _terms_of("mlr", N=n, t=t, hV=1, degV=1, ktorV=1)
             rhs = _terms_of("curva_hY0", N=n, r=n - t, hV=1, degV=1, ktorV=1)
             if lhs != rhs:

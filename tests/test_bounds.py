@@ -1,5 +1,6 @@
 """The bound catalog: closed-form exponents, exact values, validity ranges."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from toran.bounds import (
     tadimzero_a2,
     teoremone_i_exponents,
 )
+from toran.serialize import dumps_canonical
 
 F = Fraction
 
@@ -241,6 +243,35 @@ def test_every_id_evaluates():
         assert Fraction(d["value"]) == r.value or not r.value_exact
 
 
+DIRECTIONS = {
+    "galateau_lower": "lower",
+    "carrizosa_lower": "lower",
+    "zhang_sandwich": "interval",
+    "kappa": "value",
+    "mw_field": "value",
+}
+
+
+def test_every_id_states_its_direction():
+    for theorem_id, params in EVAL_PARAMS.items():
+        r = evaluate_bound(theorem_id, **params)
+        assert r.direction == DIRECTIONS.get(theorem_id, "upper")
+
+
+def test_catalog_bytes_pinned():
+    # every id at eta 0 and at its cap, plus the identity report; the digest
+    # was recorded before the catalog became one table
+    h = hashlib.sha256()
+    for theorem_id, params in EVAL_PARAMS.items():
+        for eta in (0, eta_threshold(theorem_id, params)):
+            res = evaluate_bound(theorem_id, eta, **params)
+            h.update(dumps_canonical(res.to_json_dict()).encode())
+    h.update(dumps_canonical(exponent_identities()).encode())
+    assert h.hexdigest() == (
+        "c592fa8dd1a6349b76847a6e07af95521588e04eaa176e7b636f5c70e897aadd"
+    )
+
+
 def test_every_id_monotone_under_eta():
     # raising eta never shrinks an upper bound with all bases >= 1
     for theorem_id, params in EVAL_PARAMS.items():
@@ -284,6 +315,61 @@ def test_eta_thresholds():
         evaluate_bound("carrizosa_lower", F(3, 4), dimB=2, degB=4, ktorV=3)
     # at most the threshold is fine
     evaluate_bound("carrizosa_lower", F(1, 2), dimB=2, degB=4, ktorV=3)
+
+
+class _Unreadable(dict):
+    def __getitem__(self, key, *default):
+        raise AssertionError(f"read {key}")
+
+    get = __getitem__
+    __contains__ = __getitem__
+
+
+def test_eta_threshold_reads_no_parameter_for_cap_one():
+    for theorem_id in [*catalog_ids(), "no_such_bound"]:
+        if not theorem_id.endswith("_lower"):
+            assert eta_threshold(theorem_id, _Unreadable()) == 1
+
+
+@pytest.mark.parametrize("eta", [F(1, 2), F(1, 4)])
+def test_eta_cap_refuses_non_integral_dimensions(eta):
+    # the caps used to truncate 7/2 to 3 and 3/2 to 1, and so both asked
+    # for eta <= 1/3 at eta = 1/2
+    with pytest.raises(BoundRangeError, match="^dimB must be an integer, got 7/2$"):
+        evaluate_bound("carrizosa_lower", eta, dimB=F(7, 2), degB=4, ktorV=3)
+    with pytest.raises(BoundRangeError, match="^dimY must be an integer, got 3/2$"):
+        evaluate_bound("galateau_lower", eta, dimB=4, dimY=F(3, 2), degB=4, degY=2)
+    with pytest.raises(BoundRangeError, match="^missing parameter dimY$"):
+        evaluate_bound("galateau_lower", eta, dimB=3, degB=4, degY=2)
+
+
+def test_carrizosa_cap_ignores_dim_y():
+    params = dict(dimB=2, degB=4, ktorV=3)
+    assert eta_threshold("carrizosa_lower", {**params, "dimY": 1}) == F(1, 2)
+    assert evaluate_bound("carrizosa_lower", F(1, 2), dimY=1, **params) == (
+        evaluate_bound("carrizosa_lower", F(1, 2), **params)
+    )
+
+
+def test_missing_base_parameter_is_named():
+    params = dict(N=4, hV=1, degV=1, ktorV=1, kV=1)
+    for name in ("kV", "ktorV"):
+        rest = {k: v for k, v in params.items() if k != name}
+        with pytest.raises(BoundRangeError, match=f"^missing parameter {name}$"):
+            evaluate_bound("teoremone_i", **rest)
+
+
+@pytest.mark.parametrize("constant", [F(-1), F(0), F(-1, 2)])
+def test_every_id_refuses_a_nonpositive_constant(constant):
+    for theorem_id, params in EVAL_PARAMS.items():
+        for key in ("c", theorem_id):
+            with pytest.raises(
+                BoundRangeError, match=f"^need a positive constant, got {constant}$"
+            ):
+                evaluate_bound(theorem_id, constants={key: constant}, **params)
+    # an id-keyed constant wins over c, so a positive one is accepted
+    r = evaluate_bound("bezout", constants={"c": -1, "bezout": 2}, **EVAL_PARAMS["bezout"])
+    assert r.value == 38
 
 
 def test_every_id_refuses_eta_above_threshold():

@@ -166,6 +166,70 @@ def test_readme_sweep_example(capsys, tmp_path, monkeypatch):
     assert len(lines[1].split(",")) == 8
 
 
+def test_readme_bounds_example(capsys):
+    # the documented command, with its continuation line, prints the lines
+    # the README shows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    i = next(k for k, ln in enumerate(lines) if ln.startswith("$ toran bounds --theorem"))
+    command = lines[i].rstrip("\\") + lines[i + 1]
+    shown = lines[i + 2 : lines.index("```", i)]
+    code, out, _ = run_cli(capsys, command.split()[2:])
+    assert code == 0
+    assert '  "value": "100",' in shown
+    for ln in shown:
+        if ln.strip() not in {"{", "...", "}"}:
+            assert ln in out.splitlines()
+
+
+@pytest.mark.parametrize("eta", ["1/2", "1/4"])
+@pytest.mark.parametrize(
+    "theorem,params,name",
+    [
+        ("carrizosa_lower", ["dimB=7/2", "degB=4", "ktorV=3"], "dimB"),
+        ("galateau_lower", ["dimB=4", "dimY=3/2", "degB=4", "degY=2"], "dimY"),
+    ],
+)
+def test_bounds_non_integral_dimension_exits_2(capsys, eta, theorem, params, name):
+    argv = ["bounds", "--theorem", theorem, "--eta", eta]
+    for item in params:
+        argv += ["--param", item]
+    code, out, err = run_cli(capsys, argv)
+    value = next(item for item in params if item.startswith(name + "=")).split("=")[1]
+    assert code == 2 and not out
+    assert err == f"error: {name} must be an integer, got {value}\n"
+
+
+@pytest.mark.parametrize("missing", ["kV", "ktorV"])
+def test_bounds_missing_base_parameter_exits_2(capsys, tmp_path, missing):
+    # these used to print the raw KeyError of the base: error: 'k'
+    params = {"N": "4", "hV": "1", "degV": "1", "ktorV": "1", "kV": "1"}
+    del params[missing]
+    argv = ["bounds", "--theorem", "teoremone_i"]
+    for key, val in params.items():
+        argv += ["--param", f"{key}={val}"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out
+    assert err == f"error: missing parameter {missing}\n"
+    csv_path = tmp_path / "sweep.csv"
+    csv_path.write_text(",".join(params) + "\n" + ",".join(params.values()) + "\n")
+    code, out, err = run_cli(
+        capsys, ["bounds", "--theorem", "teoremone_i", "--sweep", str(csv_path)]
+    )
+    assert code == 2 and not out
+    assert err == f"error: missing parameter {missing}\n"
+
+
+@pytest.mark.parametrize("constant", ["c=-1", "c=0", "tadimzero_hY0=-1/2"])
+def test_bounds_nonpositive_constant_exits_2(capsys, constant):
+    argv = ["bounds", "--theorem", "tadimzero_hY0", "--constant", constant]
+    for item in ("N=3", "d=1", "hV=2", "degV=3", "ktorV=4"):
+        argv += ["--param", item]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out
+    assert err == f"error: need a positive constant, got {constant.split('=')[1]}\n"
+
+
 def test_classify(capsys, tmp_path):
     spec = ModuleSpec(-3, 1, [[1]])
     x = PointInEN.from_rows(spec, [[1], [2], [3]])
