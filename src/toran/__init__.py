@@ -54,6 +54,11 @@ from .reductions import (
     gamma_to_torsion_variety,
     transverse_lift,
 )
+from .serialize import (
+    module_spec_to_json_dict,
+    parse_torsion_point_text,
+    torsion_point_from_json_dict,
+)
 from .siegel import (
     DEFAULT_SIEGEL_CONSTANT,
     LinearSystem,

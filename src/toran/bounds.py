@@ -137,10 +137,7 @@ def _evaluate(
     for t, e in zip(terms, exps):
         if t.base not in bases:
             raise BoundRangeError(f"missing parameter {_OPTIONAL_BASES[t.base]}")
-        b = Fraction(bases[t.base])
-        if b <= 0:
-            raise BoundRangeError(f"base {t.base} must be positive, got {b}")
-        acc *= b ** int(e * d)
+        acc *= Fraction(bases[t.base]) ** int(e * d)
     root, exact = _nth_root_fraction(acc, d)
     return constant * root, exact
 
@@ -792,7 +789,12 @@ def exponent_identities(max_n: int = 12, eta: Fraction = Frac(1, 10)) -> dict:
     """Consistency report: bounds reachable by two routes must agree.
 
     Each entry maps an identity name to {"holds": bool, "detail": str}.
+    Raises BoundRangeError for max_n < 4, where the lifted count identity
+    (N from 2 to max_n // 2) checks no case and would still report "holds";
+    below 3 so would every other identity over a range of N.
     """
+    if max_n < 4:
+        raise BoundRangeError(f"need max_n >= 4, got {max_n}")
     report = {}
 
     def add(name, holds, detail):

@@ -160,12 +160,5 @@ def snf_int(
     return d, U, V
 
 
-def mat_mul_int(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
-        for i in range(len(A))
-    ]
-
-
 def rank_int(M: list[list[int]]) -> int:
     return len(hnf_int(M))

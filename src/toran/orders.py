@@ -32,18 +32,6 @@ def _check_disc(disc: int) -> None:
         raise ValueError(f"discriminant {disc} is not one of {EUCLIDEAN_DISCS}")
 
 
-def trace_omega(disc: int) -> int:
-    """Trace of the generator w: 0 for even discriminants, 1 for odd."""
-    _check_disc(disc)
-    return _OMEGA[disc][0]
-
-
-def norm_omega(disc: int) -> int:
-    """Norm of the generator w, i.e. the constant term of its minimal polynomial."""
-    _check_disc(disc)
-    return _OMEGA[disc][1]
-
-
 class _Frozen:
     """Base of the value types whose slots are set once, by ``object.__setattr__``."""
 
@@ -315,14 +303,6 @@ def canonical_residue(x: OrderElement, mod: OrderElement) -> OrderElement:
         return x
     q = OrderElement(x.disc, *_nearest(x.disc, x.a, x.b, mod.a, mod.b, True))
     return x - q * mod
-
-
-def exact_div(x: OrderElement, y: OrderElement) -> OrderElement:
-    """x / y when y divides x exactly; raises ValueError otherwise."""
-    q, r = euclid_div(x, y)
-    if not r.is_zero():
-        raise ValueError(f"{x} is not divisible by {y}")
-    return q
 
 
 def gcd(x: OrderElement, y: OrderElement) -> OrderElement:

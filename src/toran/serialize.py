@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .mordell_weil import ModuleSpec, PointInEN
-from .orders import OrderElement, QuadRat, format_element, parse_element
+from .orders import QuadRat, format_element, parse_element
 from .subgroups import SubgroupMatrix, TorsionPoint
 
 
@@ -192,33 +192,6 @@ def point_from_json_dict(spec: ModuleSpec, obj: dict) -> PointInEN:
         raise FormatError(f"bad point object: {exc}") from exc
     if not torsions:
         torsions = None
-    return PointInEN.from_rows(spec, rows, torsions)
-
-
-def point_coords_from_text(spec: ModuleSpec, text: str) -> PointInEN:
-    """One coordinate per line: comma-separated generator coefficients,
-    optionally followed by '; torsion: c'."""
-    rows, torsions = [], []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        tor = OrderElement.zero(spec.disc)
-        if ";" in ln:
-            ln, tail = ln.split(";", 1)
-            tail = tail.strip()
-            if not tail.lower().startswith("torsion"):
-                raise FormatError(f"expected 'torsion: c' after ';', got {tail!r}")
-            tor = parse_element(tail.split(":", 1)[1].strip(), spec.disc)
-        toks = [tok.strip() for tok in ln.split(",") if tok.strip()]
-        if len(toks) != spec.rank:
-            raise FormatError(
-                f"expected {spec.rank} coefficients per coordinate, got {len(toks)}"
-            )
-        rows.append([parse_element(tok, spec.disc) for tok in toks])
-        torsions.append(tor)
-    if not rows:
-        raise FormatError("empty point input")
     return PointInEN.from_rows(spec, rows, torsions)
 
 

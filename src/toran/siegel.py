@@ -15,12 +15,11 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .orders import (
+    _OMEGA,
     OrderElement,
     _as_element,
     _elements_norm_le,
     canonicalizing_unit,
-    norm_omega,
-    trace_omega,
 )
 from .subgroups import (
     SubgroupMatrix,
@@ -92,8 +91,7 @@ class SiegelCertificate:
 def _trace_gram(disc: int, u: list, v: list):
     # sum of Tr(u_i * conj(v_i)) over coordinates, in (a, b) interleaved form;
     # exact for integer or Fraction coordinates
-    t = trace_omega(disc)
-    n0 = norm_omega(disc)
+    t, n0 = _OMEGA[disc]
     acc = 0
     for i in range(0, len(u), 2):
         a1, b1, a2, b2 = u[i], u[i + 1], v[i], v[i + 1]

@@ -15,6 +15,7 @@ from math import comb, gcd as int_gcd, lcm as int_lcm, prod
 
 from .intlattice import det_int, hnf_int, snf_int
 from .orders import (
+    _OMEGA,
     DiscMismatchError,
     OrderElement,
     _Frozen,
@@ -22,8 +23,6 @@ from .orders import (
     _dot,
     _nearest,
     canonicalizing_unit,
-    norm_omega,
-    trace_omega,
 )
 
 
@@ -118,7 +117,7 @@ def _reduce(R: list[int], P: list[int], a: int, disc: int, by_remainder: bool) -
     """R -= q*P in place on flat rows (a1, b1, a2, b2, ...), where q is the
     nearest quotient of the entry (R[a], R[a+1]) by (P[a], P[a+1])."""
     m, n = _nearest(disc, R[a], R[a + 1], P[a], P[a + 1], by_remainder)
-    t, n0 = trace_omega(disc), norm_omega(disc)
+    t, n0 = _OMEGA[disc]
     for j in range(0, len(R), 2):
         pa, pb = P[j], P[j + 1]
         R[j] -= m * pa - n0 * n * pb
@@ -139,7 +138,7 @@ def _echelon(rows, n_cols: int):
     if not E or not n_cols:
         return E, []
     m, disc = len(E), rows[0][0].disc
-    t, n0 = trace_omega(disc), norm_omega(disc)
+    t, n0 = _OMEGA[disc]
     pivots = []
     for c in range(n_cols):
         i = len(pivots)
@@ -240,7 +239,8 @@ class DegreeSurrogate:
 
     minor_sum is the sum of norm(det) over all maximal minors; row_product
     multiplies the coordinate-norm sums of the rows.  Hadamard's inequality
-    gives minor_sum <= C(N, r) * row_product, checked as an invariant.
+    gives minor_sum <= C(N, r) * row_product.  The library does not check
+    it; acceptance criterion 3 and test_subgroups test it with bound_holds.
     """
 
     minor_sum: int
@@ -367,8 +367,7 @@ def apply_matrix(M: SubgroupMatrix, zeta: TorsionPoint) -> TorsionPoint:
 
 def _int_block(e: OrderElement) -> list[list[int]]:
     # regular representation of multiplication by e on the basis (1, w)
-    t = trace_omega(e.disc)
-    n0 = norm_omega(e.disc)
+    t, n0 = _OMEGA[e.disc]
     return [[e.a, -n0 * e.b], [e.b, e.a + t * e.b]]
 
 
@@ -587,25 +586,3 @@ def is_anomalous(dim_y: int, dim_v: int, dim_b: int, n_ambient: int) -> bool:
     if not dim_y <= dim_b <= n_ambient:
         raise ValueError(f"need dim_y <= dim_b <= N, got ({dim_y}, {dim_b}, {n_ambient})")
     return (n_ambient - dim_y) < (n_ambient - dim_v) + (n_ambient - dim_b)
-
-
-def translate_has_no_anomalous(
-    H: SubgroupMatrix, B: SubgroupMatrix, dim_y: int
-) -> bool:
-    """Certificate that a weak-transverse translate H + p admits no torsion
-    anomalous component of dimension dim_y inside B + torsion.
-
-    True when the dimension count dim H + dim B - dim_y < N holds (with
-    dim(H ∩ B) >= dim_y): then H + B is a proper subgroup, and containment
-    of H + p in a proper torsion variety would contradict weak-transversality,
-    so the intersection must be empty.  False means the dimension data is not
-    anomalous in the first place and no certificate is needed.
-    """
-    _check_same(H.disc, H.N, B.disc, B.N)
-    dim_sum, dim_int, _, _ = sum_and_intersection(H, B)
-    if dim_int < dim_y:
-        return False
-    if H.dim + B.dim - dim_y >= H.N:
-        return False
-    assert dim_sum < H.N
-    return True

@@ -118,6 +118,21 @@ def test_identities_command(capsys):
     assert code3 == 0 and json.loads(out3) == report
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--max-n", "-3"],
+        ["identities", "--max-n", "3"],
+        ["bounds", "--identities", "--max-n", "3"],
+    ],
+    ids=["negative", "three", "bounds-alias"],
+)
+def test_identities_below_max_n_4_exit_2(capsys, argv):
+    # below N = 4 some range identities check no case, so none may print "holds"
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and not out and "need max_n >= 4" in err
+
+
 def test_sweep(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     csv_path.write_text(
@@ -164,6 +179,14 @@ def test_readme_sweep_example(capsys, tmp_path, monkeypatch):
     assert lines[0] == "N,d,hV,degV,ktorV,value,value_float,value_exact"
     assert len(lines) == 2 and lines[1].startswith("3,1,1,2,4,")
     assert len(lines[1].split(",")) == 8
+
+
+def test_readme_library_tour():
+    # the README's one python block runs as shown, so it names no deleted function
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})
 
 
 def test_readme_bounds_example(capsys):

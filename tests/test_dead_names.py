@@ -1,10 +1,14 @@
-"""Every module-level function, class and assignment in src/toran, and every
-non-dunder method, is referenced somewhere outside its own definition in
-src/ or tests/.  A name with no reference is dead code and should be deleted.
+"""Every module-level function, class and assignment in src/toran is
+referenced in src/ outside its own definition, and every non-dunder method is
+referenced in src/ or belongs to a class that ``toran/__init__.py`` exports.
+Only the library, the CLI and the exports count as users: a name that only
+tests reach is dead code and should be deleted, or exported if it is meant
+to be public.
 
 References are found with the standard-library ``ast`` module: loaded names,
-attribute names and names imported with ``from ... import``.  Dunder names
-such as ``__version__`` are exempt.
+attribute names and names imported with ``from ... import``, so a name that
+``__init__.py`` imports is exported and referenced.  Dunder names such as
+``__version__`` are exempt.
 
 Every name a module imports is also loaded in that module, except for
 ``from __future__`` imports and the re-exports of ``__init__.py``.
@@ -22,20 +26,20 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(label, referenced name, defining node) for each checked definition."""
+    """(owning class or None, name, defining node) for each checked definition."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.name, node
+            yield None, node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for n in ast.walk(target):
                     if isinstance(n, ast.Name):
-                        yield n.id, n.id, node
+                        yield None, n.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{node.name}.{item.name}", item.name, item
+                    yield node.name, item.name, item
 
 
 def _references(tree: ast.Module):
@@ -50,19 +54,19 @@ def _references(tree: ast.Module):
                 yield alias.name, n.lineno
 
 
-def unreferenced_names(src_files, test_files) -> list[str]:
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"))
-        for path in [*src_files, *test_files]
-    }
+def unreferenced_names(src_files) -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src_files}
     uses: dict[str, list[tuple[Path, int]]] = {}
+    exported = set()
     for path, tree in trees.items():
         for name, line in _references(tree):
             uses.setdefault(name, []).append((path, line))
+            if path.name == "__init__.py":
+                exported.add(name)
     dead = []
     for path in src_files:
-        for label, name, node in _definitions(trees[path]):
-            if _is_dunder(name):
+        for owner, name, node in _definitions(trees[path]):
+            if _is_dunder(name) or owner in exported:
                 continue
             elsewhere = [
                 (p, line)
@@ -70,6 +74,7 @@ def unreferenced_names(src_files, test_files) -> list[str]:
                 if p != path or not node.lineno <= line <= node.end_lineno
             ]
             if not elsewhere:
+                label = f"{owner}.{name}" if owner else name
                 dead.append(f"{path.stem}.{label}")
     return sorted(dead)
 
@@ -98,9 +103,8 @@ def unused_imports(src_files) -> list[str]:
 
 def test_no_dead_names():
     src_files = sorted(PACKAGE.glob("*.py"))
-    test_files = sorted((ROOT / "tests").glob("*.py"))
-    assert src_files and test_files
-    assert unreferenced_names(src_files, test_files) == []
+    assert src_files
+    assert unreferenced_names(src_files) == []
     assert unused_imports(src_files) == []
 
 
@@ -124,10 +128,39 @@ def test_guard_reports_an_unused_helper(tmp_path):
         "\n"
         "    def unused(self):\n"
         "        return 0\n"
+        "\n"
+        "def measure():\n"
+        "    return Box().size()\n"
     )
+    init = tmp_path / "__init__.py"
+    init.write_text("from .mod import measure\n")
+    assert unreferenced_names([module, init]) == ["mod.Box.unused", "mod.recursive"]
+
+
+def test_guard_counts_no_test_as_a_user(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def helper(n):\n"
+        "    return n\n"
+        "\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return 0\n"
+    )
+    init = tmp_path / "__init__.py"
+    init.write_text("from .mod import Box\n")
     test = tmp_path / "test_mod.py"
-    test.write_text("from mod import Box\n\ndef test_box():\n    assert Box().size()\n")
-    assert unreferenced_names([module], [test]) == ["mod.Box.unused", "mod.recursive"]
+    test.write_text(
+        "from mod import Box, helper\n"
+        "\n"
+        "def test_mod():\n"
+        "    assert Box().size() == helper(0)\n"
+    )
+    dead = unreferenced_names([module, init])
+    # referenced only from the test file: not a use
+    assert "mod.helper" in dead
+    # a method of an exported class is public API, even if only tests call it
+    assert "mod.Box.size" not in dead
 
 
 def test_guard_reports_an_unused_import(tmp_path):

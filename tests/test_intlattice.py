@@ -3,7 +3,7 @@
 import random
 from itertools import permutations
 
-from toran.intlattice import det_int, hnf_int, mat_mul_int, rank_int, snf_int
+from toran.intlattice import det_int, hnf_int, rank_int, snf_int
 
 
 def det_oracle(m):
@@ -22,6 +22,14 @@ def det_oracle(m):
             term *= m[i][perm[i]]
         total += term
     return total
+
+
+def mat_mul_int(A, B):
+    """Integer matrix product, the reference for the Smith form's transforms."""
+    return [
+        [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):

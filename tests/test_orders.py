@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toran.orders import (
+    _OMEGA,
     EUCLIDEAN_DISCS,
     DiscMismatchError,
     OrderElement,
@@ -19,12 +20,9 @@ from toran.orders import (
     canonical_residue,
     canonicalizing_unit,
     euclid_div,
-    exact_div,
     format_element,
     gcd,
-    norm_omega,
     parse_element,
-    trace_omega,
     units,
 )
 
@@ -72,7 +70,7 @@ def test_conjugation_and_norm(x, a, b):
 def test_omega_data():
     # trace and norm of the module generator pin down the multiplication
     for disc in DISCS:
-        t, n0 = trace_omega(disc), norm_omega(disc)
+        t, n0 = _OMEGA[disc]
         assert t * t - 4 * n0 == disc
         w = OrderElement(disc, 0, 1)
         assert w * w == OrderElement(disc, -n0, t)
@@ -84,10 +82,6 @@ def test_unsupported_discriminant_rejected(disc):
         OrderElement(disc, 1, 0)
     with pytest.raises(ValueError):
         QuadRat(disc, Fraction(1, 2), 0)
-    with pytest.raises(ValueError):
-        trace_omega(disc)
-    with pytest.raises(ValueError):
-        norm_omega(disc)
 
 
 def test_unit_groups():
@@ -232,19 +226,6 @@ def test_euclid_div_corner_cases():
         assert x == q * y + r and r.norm() < y.norm()
 
 
-def test_exact_div():
-    rng = random.Random(5)
-    for _ in range(200):
-        disc = rng.choice(DISCS)
-        q = OrderElement(disc, rng.randint(-9, 9), rng.randint(-9, 9))
-        y = OrderElement(disc, rng.randint(-9, 9), rng.randint(-9, 9))
-        if y.is_zero():
-            continue
-        assert exact_div(q * y, y) == q
-    with pytest.raises(ValueError):
-        exact_div(OrderElement(-4, 1, 0), OrderElement(-4, 2, 0))
-
-
 def test_gcd_properties():
     rng = random.Random(17)
     for _ in range(250):
@@ -256,8 +237,8 @@ def test_gcd_properties():
             assert g.is_zero()
             continue
         assert g == canonical_associate(g)
-        exact_div(x, g)
-        exact_div(y, g)
+        assert euclid_div(x, g)[1].is_zero()
+        assert euclid_div(y, g)[1].is_zero()
         # common scaling passes through up to the canonical unit
         c = OrderElement(disc, 2, 1)
         assert gcd(x * c, y * c) == canonical_associate(c * g)
@@ -283,7 +264,7 @@ def test_canonical_residue_idempotent():
         assert canonical_residue(r, p) == r
         assert r.norm() < p.norm() or r.is_zero()
         # residue differs from x by a multiple of p
-        exact_div(x - r, p)
+        assert euclid_div(x - r, p)[1].is_zero()
 
 
 def test_quadrat_field_ops():
@@ -427,7 +408,7 @@ class _FractionQuadRat:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        t, n0 = trace_omega(self.disc), norm_omega(self.disc)
+        t, n0 = _OMEGA[self.disc]
         a, b, c, d = self.x, self.y, o.x, o.y
         return _FractionQuadRat(self.disc, a * c - n0 * b * d, a * d + b * c + t * b * d)
 
@@ -458,17 +439,17 @@ class _FractionQuadRat:
         return self.x != 0 or self.y != 0
 
     def conjugate(self):
-        return _FractionQuadRat(self.disc, self.x + trace_omega(self.disc) * self.y, -self.y)
+        return _FractionQuadRat(self.disc, self.x + _OMEGA[self.disc][0] * self.y, -self.y)
 
     def norm(self):
-        t, n0 = trace_omega(self.disc), norm_omega(self.disc)
+        t, n0 = _OMEGA[self.disc]
         return self.x * self.x + t * self.x * self.y + n0 * self.y * self.y
 
     def trace(self):
-        return 2 * self.x + trace_omega(self.disc) * self.y
+        return 2 * self.x + _OMEGA[self.disc][0] * self.y
 
     def rational_part(self):
-        return self.x + Fraction(trace_omega(self.disc) * self.y, 2)
+        return self.x + Fraction(_OMEGA[self.disc][0] * self.y, 2)
 
     def is_integral(self):
         return self.x.denominator == 1 and self.y.denominator == 1

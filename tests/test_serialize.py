@@ -18,7 +18,6 @@ from toran.serialize import (
     module_spec_to_json_dict,
     parse_matrix_text,
     parse_torsion_point_text,
-    point_coords_from_text,
     point_from_json_dict,
     point_to_json_dict,
     torsion_point_from_json_dict,
@@ -151,20 +150,6 @@ def test_point_json_round_trip():
     assert point_from_json_dict(spec, obj) == x
     with pytest.raises(FormatError):
         point_from_json_dict(spec, {"torsions": ["1"]})
-
-
-def test_point_coords_from_text():
-    spec = ModuleSpec(-4, 2, [[1, 0], [0, 1]], torsion_order=2)
-    x = point_coords_from_text(spec, "1, 2\n0, 1+1*w; torsion: 1\n")
-    assert x.N == 2
-    assert x.coords[0].free == (OrderElement(-4, 1, 0), OrderElement(-4, 2, 0))
-    assert x.coords[1].torsion == OrderElement(-4, 1, 0)
-    with pytest.raises(FormatError):
-        point_coords_from_text(spec, "")
-    with pytest.raises(FormatError):
-        point_coords_from_text(spec, "1\n")
-    with pytest.raises(FormatError):
-        point_coords_from_text(spec, "1, 2; spin: 1\n")
 
 
 def test_dumps_canonical_deterministic():

@@ -36,7 +36,6 @@ from toran.subgroups import (
     saturate,
     sum_and_intersection,
     tangent_orthogonal,
-    translate_has_no_anomalous,
 )
 
 DISCS = list(EUCLIDEAN_DISCS)
@@ -469,14 +468,6 @@ def test_is_anomalous():
         is_anomalous(2, 1, 1, 3)
     with pytest.raises(ValueError):
         is_anomalous(0, 3, 1, 3)
-
-
-def test_translate_certificate():
-    H = SubgroupMatrix.from_ints(-4, [[1, 0, 0], [0, 1, 0]])
-    B = SubgroupMatrix.from_ints(-4, [[1, 0, 0], [0, 0, 1]])
-    assert translate_has_no_anomalous(H, B, 0)
-    B_big = SubgroupMatrix.from_ints(-4, [[1, 0, 0]])
-    assert not translate_has_no_anomalous(H, B_big, 0)
 
 
 # the cases cover every discriminant with r running from 0 to N
