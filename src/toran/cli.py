@@ -139,10 +139,8 @@ def _certificate_json(cert) -> dict:
 
 
 def _cmd_bounds(args) -> int:
-    if args.identities:
-        return _cmd_identities(args)
     if args.theorem is None:
-        raise serialize.FormatError("--theorem is required (or use --identities)")
+        raise serialize.FormatError("--theorem is required")
     constants = _parse_kv(args.constant)
     if args.sweep:
         return _sweep(args, constants)
@@ -331,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--param", action="append", metavar="KEY=VALUE")
     b.add_argument("--constant", action="append", metavar="KEY=VALUE")
     b.add_argument("--sweep", metavar="CSV", help="CSV of parameter rows")
-    b.add_argument("--identities", action="store_true", help="run identity checks")
-    b.add_argument("--max-n", type=int, default=12, dest="max_n")
-    b.add_argument("--id-eta", default="1/10", dest="id_eta")
     b.set_defaults(func=_cmd_bounds)
 
     i = sub.add_parser("identities", help="cross-check exponent identities")

@@ -13,6 +13,7 @@ the set of canonical labels within X.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from operator import add
 
 from .bounds import _jordan_totient
@@ -62,10 +63,7 @@ def enumerate_torsion(
         OrderElement(disc, a, b) for a in range(level) for b in range(level)
     ]
     points = []
-    stack = [()]
-    for _ in range(n_ambient):
-        stack = [tup + (c,) for tup in stack for c in coords_1d]
-    for tup in stack:
+    for tup in product(coords_1d, repeat=n_ambient):
         p = TorsionPoint(disc, level, tup)
         if exact_order and p.order() != level:
             continue
@@ -130,12 +128,14 @@ def _norm_box(disc: int, cap: int) -> tuple[tuple, ...]:
 
 def _killing_stages(disc: int, n_ambient: int, x_budget: int, model):
     """Unit-class representatives (_dedup_unit_rows) of the _killing_rows
-    within x_budget, in stages of growing cap (1, 2, 4, 8, then x_budget),
-    each stage holding the rows above the previous cap.  Unit multiples
-    share their summed norm, so each class lies within one stage."""
-    caps = [c for c in (1, 2, 4, 8) if c < x_budget] + [x_budget]
-    for low, cap in zip([0] + caps, caps):
+    within x_budget, in stages of doubling cap (1, 2, 4, ..., then
+    x_budget), each stage holding the rows above the previous cap.  Unit
+    multiples share their summed norm, so each class lies within one stage."""
+    low, cap = 0, 1
+    while low < x_budget:
+        cap = min(cap, x_budget)
         yield _dedup_unit_rows(disc, _killing_rows(disc, n_ambient, cap, model, low))
+        low, cap = cap, 2 * cap
 
 
 class _StagedRows(list):

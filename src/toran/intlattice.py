@@ -1,4 +1,7 @@
-"""Exact integer lattice plumbing: determinants, Hermite and Smith forms.
+"""Exact integer lattice plumbing: the determinant (``det_int``), the
+canonical row Hermite form (``hnf_int``) and the rank it gives
+(``rank_int``), and the Smith form's diagonal with its column transform
+(``snf_int`` returns (d, V); the row transform is not built).
 
 These run on small dense matrices (dimensions a few dozen at most), so the
 classical cubic algorithms with Python bigints are plenty.
@@ -75,32 +78,26 @@ def hnf_int(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in A[:r])
 
 
-def snf_int(
-    M: list[list[int]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (d, U, V) with U*M*V = diag(d).
+def snf_int(M: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form with its column transform: returns (d, V) such that
+    U*M*V = diag(d) for some unimodular U, which is not built.
 
-    U and V are unimodular; d has non-negative entries with d[i] | d[i+1].
+    V is unimodular; d holds min(rows, columns) non-negative entries with
+    d[i] | d[i+1].
     """
     m = len(M)
     n = len(M[0]) if m else 0
     A = [[int(x) for x in row] for row in M]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_op(i, j, q):  # row_i -= q*row_j, tracked in U
+    def row_op(i, j, q):  # row_i -= q*row_j
         A[i] = [A[i][k] - q * A[j][k] for k in range(n)]
-        U[i] = [U[i][k] - q * U[j][k] for k in range(m)]
 
     def col_op(i, j, q):  # col_i -= q*col_j, tracked in V
         for row in A:
             row[i] -= q * row[j]
         for row in V:
             row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -118,7 +115,7 @@ def snf_int(
         if piv is None:
             break
         _, pi, pj = piv
-        swap_rows(t, pi)
+        A[t], A[pi] = A[pi], A[t]
         swap_cols(t, pj)
         dirty = False
         for i in range(t + 1, m):
@@ -146,18 +143,7 @@ def snf_int(
             row_op(t, bad, -1)
             continue
         t += 1
-
-    d = []
-    for i in range(min(m, n)):
-        v = A[i][i]
-        if v < 0:
-            for k in range(n):
-                A[i][k] = -A[i][k]
-            for k in range(m):
-                U[i][k] = -U[i][k]
-            v = -v
-        d.append(v)
-    return d, U, V
+    return [abs(A[i][i]) for i in range(min(m, n))], V
 
 
 def rank_int(M: list[list[int]]) -> int:

@@ -17,7 +17,6 @@ from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
     _left_kernel,
-    _rank,
     hnf,
 )
 
@@ -280,17 +279,17 @@ def minimal_coset(x: PointInEN) -> tuple[SubgroupMatrix, TorsionPoint, int]:
     """The smallest connected subgroup B with x in B + torsion.
 
     B is presented by a saturated basis of the left kernel of the N x rank
-    coefficient matrix, so dim B equals the rank of that matrix; the torsion
-    translate is the torsion part of x itself.
+    coefficient matrix.  That basis has N - rank(A) rows, so dim B, read off
+    as N minus its size, equals the rank of A; the torsion translate is the
+    torsion part of x itself.
     """
     A = x.coefficient_rows()
     disc, N = x.spec.disc, x.N
-    m = _rank(A)
-    M = hnf(SubgroupMatrix(disc, N, _left_kernel(A, disc), check_rank=False))
-    assert M.r == N - m
+    U = _left_kernel(A, disc)  # (N - rank) x N, saturated
+    M = hnf(SubgroupMatrix(disc, N, U, check_rank=False))
     for column in zip(*A):  # the defining equations kill the free part exactly
         assert all(e.is_zero() for e in M.evaluate(column))
-    return M, x.torsion_point(), m
+    return M, x.torsion_point(), N - len(U)
 
 
 def orthogonality_certificate(

@@ -19,7 +19,6 @@ from .subgroups import (
     TorsionPoint,
     _identity,
     _left_kernel,
-    _rank,
     apply_matrix,
     hnf,
     is_anomalous,
@@ -96,11 +95,10 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
     x = gp.point
     disc, N = x.spec.disc, x.N
     B = gp.coefficient_matrix()
-    m = _rank(B)
-    if m == 0:
+    U = _left_kernel(B, disc)  # (N - rank(b)) x N, saturated
+    if len(U) == N:
         M = SubgroupMatrix(disc, N, _identity(disc, N), check_rank=False)
         return TorsionCoset(M, x.torsion_point())
-    U = _left_kernel(B, disc)  # (N - m) x N, saturated
     raw_rows = [
         [U[k][i] * gp.multipliers[i] for i in range(N)] for k in range(len(U))
     ]
@@ -128,7 +126,6 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
     zeta = TorsionPoint(disc, level, coords)
     M = SubgroupMatrix(disc, N, [row[:N] for row in H], check_rank=False)
     coset = TorsionCoset(M, zeta)
-    assert coset.codim == N - m
     assert coset.contains(x)
     return coset
 

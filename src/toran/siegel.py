@@ -81,12 +81,6 @@ class SiegelCertificate:
         rhs = self.constant**self.exp_den * Fraction(self.size_term) ** self.exp_num
         return self.constant > 0 and lhs <= rhs  # even powers hide the sign
 
-    def required_constant(self) -> float:
-        """The smallest constant that would certify these solutions."""
-        if self.achieved_norm == 0:
-            return 0.0
-        return self.achieved_norm / (self.size_term ** (self.exp_num / self.exp_den))
-
 
 def _trace_gram(disc: int, u: list, v: list):
     # sum of Tr(u_i * conj(v_i)) over coordinates, in (a, b) interleaved form;

@@ -420,7 +420,7 @@ def _level_steps(M: SubgroupMatrix, level: int) -> tuple[list[int], tuple]:
         return [1] * n2, [[int(i == j) for j in range(n2)] for i in range(n2)]
     smith = getattr(M, "_smith", None)
     if smith is None:
-        d, _, V = snf_int(integer_model(M.rows, M.disc, M.N))
+        d, V = snf_int(integer_model(M.rows, M.disc, M.N))
         smith = (tuple(d), tuple(map(tuple, V)))
         object.__setattr__(M, "_smith", smith)
     d, V = smith
@@ -451,20 +451,13 @@ def kernel_at_level(
     out = []
     from itertools import product as iproduct
 
-    # V is unimodular, so these points are distinct mod level; the dedup and
-    # the count check below verify that rather than assume it
     for u in iproduct(*(range(0, level, s) for s in steps)):
         v = [sum(V[i][j] * u[j] for j in range(n2)) % level for i in range(n2)]
         out.append(TorsionPoint(M.disc, level, ints_to_vector(M.disc, v)))
-    seen = set()
-    unique = []
-    for p in out:
-        key = p.coords
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    assert len(unique) == total
-    return unique
+    # V is unimodular, so these total points are distinct mod level; one set
+    # over their coordinates verifies that rather than assume it
+    assert len({p.coords for p in out}) == total
+    return out
 
 
 def kernel_lattice_at_level(M: SubgroupMatrix, level: int) -> tuple:
@@ -530,7 +523,7 @@ def _joint_lattice_rows(H: SubgroupMatrix, K: SubgroupMatrix) -> list[list[int]]
 def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
     """The least level annihilating every point of H ∩ K (complementary case)."""
     rows = _joint_lattice_rows(H, K)
-    d, _, _ = snf_int(rows)
+    d, _ = snf_int(rows)
     if any(x == 0 for x in d):
         raise RankError("kernel lattices are not complementary")
     return d[-1]

@@ -103,6 +103,10 @@ def test_bounds_rejects_eta_above_threshold(capsys):
 def test_bounds_requires_theorem(capsys):
     code, _, err = run_cli(capsys, ["bounds"])
     assert code == 2 and "theorem" in err
+    # the identity report has one route, `toran identities`
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--identities"])
+    assert exc.value.code == 2 and not capsys.readouterr().out
 
 
 def test_identities_command(capsys):
@@ -113,9 +117,6 @@ def test_identities_command(capsys):
     assert all(entry["holds"] for entry in report.values())
     code2, out2, _ = run_cli(capsys, ["identities"])
     assert out2 == out
-    # alias through the bounds subcommand
-    code3, out3, _ = run_cli(capsys, ["bounds", "--identities"])
-    assert code3 == 0 and json.loads(out3) == report
 
 
 @pytest.mark.parametrize(
@@ -123,9 +124,8 @@ def test_identities_command(capsys):
     [
         ["identities", "--max-n", "-3"],
         ["identities", "--max-n", "3"],
-        ["bounds", "--identities", "--max-n", "3"],
     ],
-    ids=["negative", "three", "bounds-alias"],
+    ids=["negative", "three"],
 )
 def test_identities_below_max_n_4_exit_2(capsys, argv):
     # below N = 4 some range identities check no case, so none may print "holds"

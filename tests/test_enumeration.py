@@ -1,6 +1,7 @@
 """Exhaustive listings and the brute-force minimal-coset oracle."""
 
 import gc
+import hashlib
 import itertools
 import random
 import time
@@ -418,6 +419,45 @@ def test_enumeration_budget_exit_lists_one_stage():
     with pytest.raises(BudgetExceededError, match="more than 10 "):
         enumerate_subgroups(-4, 3, 1, 40, budget=10)
     assert time.perf_counter() - start < 0.05
+
+
+def test_killing_stages_double_their_caps(monkeypatch):
+    caps = []
+
+    def recording(disc, n_ambient, cap, model, low=0):
+        caps.append((low, cap))
+        return _killing_rows(disc, n_ambient, cap, model, low)
+
+    monkeypatch.setattr(enumeration, "_killing_rows", recording)
+    for x_budget, want in [
+        (1, [1]),
+        (3, [1, 2, 3]),
+        (16, [1, 2, 4, 8, 16]),
+        (17, [1, 2, 4, 8, 16, 17]),
+        (40, [1, 2, 4, 8, 16, 32, 40]),
+    ]:
+        caps.clear()
+        list(enumeration._killing_stages(-4, 2, x_budget, []))
+        assert caps == list(zip([0] + want, want))
+
+
+# SHA-256 over the (a, b) entries of every listed label, in order, taken
+# when the last stage still jumped from cap 8 to X
+ENUMERATION_PINS = {
+    (-4, 2, 1, 17): (238, "7dc6ae8bbefae6c03447d6a68cccc2c6267ed2f9cce0421f99ccd699023f7e9e"),
+    (-3, 2, 1, 24): (500, "4a32223c5f81a943bce2bd60ae1622f597d73fe09eb68f8238ba6f52f0953239"),
+    (-7, 2, 1, 32): (788, "103f80dfcfaf7b1f08cb9e6802da22065baec1b86569eb06a7ee0e9d47d82d6d"),
+    (-8, 2, 1, 40): (1124, "09974da66e59ff1b2403a1d4b54206dc93f03b7ab82fb1e64de2d64bbfd38534"),
+    (-11, 2, 1, 20): (268, "5a9ccc1b32febf9c125a9df17b0c15c14a7555d5c00db4bbeed0a6c4c099ca0d"),
+    (-7, 3, 2, 17): (4657, "f700b6e721c8a7bdd3692cb89251dbd64c515fbf8b31e6fdbd4a3a4e70fb4e9b"),
+}
+
+
+@pytest.mark.parametrize("key", list(ENUMERATION_PINS), ids=str)
+def test_enumeration_pinned_beyond_16(key):
+    out = enumerate_subgroups(*key)
+    text = repr([[(e.a, e.b) for row in m.rows for e in row] for m in out])
+    assert (len(out), hashlib.sha256(text.encode()).hexdigest()) == ENUMERATION_PINS[key]
 
 
 def _reference_subgroups(disc, n, dim, x_budget):

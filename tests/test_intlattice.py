@@ -1,7 +1,8 @@
 """Integer determinant, Hermite and Smith forms used by the rank-2N model."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
+from math import gcd
 
 from toran.intlattice import det_int, hnf_int, rank_int, snf_int
 
@@ -25,7 +26,7 @@ def det_oracle(m):
 
 
 def mat_mul_int(A, B):
-    """Integer matrix product, the reference for the Smith form's transforms."""
+    """Integer matrix product, the reference for the Smith form's transform."""
     return [
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
         for i in range(len(A))
@@ -77,24 +78,46 @@ def test_hnf_shape():
     assert cols == sorted(cols)
 
 
+def smith_reference(m):
+    """The Smith diagonal from determinantal divisors: with D_k the gcd of
+    the k x k minors (D_0 = 1), d_k = D_k / D_(k-1), and 0 once D_k = 0."""
+    rows, cols = len(m), len(m[0])
+    d, prev = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        dk = 0
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                dk = gcd(dk, det_int([[m[i][j] for j in ci] for i in ri]))
+        d.append(dk // prev if dk else 0)
+        prev = dk or 1
+    return d
+
+
 def test_snf_factorization():
     rng = random.Random(27)
-    for _ in range(120):
-        rows, cols = rng.choice([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
-        m = random_matrix(rng, rows, cols)
-        d, u, v = snf_int(m)
-        prod = mat_mul_int(mat_mul_int(u, m), v)
-        for i in range(rows):
-            for j in range(cols):
-                expected = d[i] if i == j and i < len(d) else 0
-                assert prod[i][j] == expected
-        for i in range(len(d) - 1):
-            if d[i + 1] != 0:
-                assert d[i] != 0 and d[i + 1] % d[i] == 0
-        assert all(x >= 0 for x in d)
-        # transforms are unimodular
-        assert det_int(u) in (1, -1)
-        assert det_int(v) in (1, -1)
+    shapes = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (3, 2), (4, 3)]
+    cases = [random_matrix(rng, *rng.choice(shapes)) for _ in range(120)]
+    cases += [
+        [[0, 0, 0], [0, 0, 0]],  # zero
+        [[2, 4, 6], [3, 6, 9], [1, 2, 3]],  # rank 1
+        [[6, 0], [0, 4], [0, 0]],  # diagonal but not divisible: d = (2, 12)
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # rank 2
+    ]
+    for m in cases:
+        d, v = snf_int(m)
+        assert d == smith_reference(m)
+        # the column transform is unimodular
+        assert abs(det_int(v)) == 1
+        # column j of M*V is d_j times an integer column, and zero where
+        # d_j = 0 or j lies beyond the diagonal
+        mv = mat_mul_int(m, v)
+        for j in range(len(v)):
+            dj = d[j] if j < len(d) else 0
+            col = [row[j] for row in mv]
+            if dj == 0:
+                assert not any(col)
+            else:
+                assert all(x % dj == 0 for x in col)
 
 
 def test_snf_determinant_product():
@@ -103,7 +126,7 @@ def test_snf_determinant_product():
         n = rng.choice([2, 3, 4])
         m = random_matrix(rng, n, n)
         det = det_int(m)
-        d, _, _ = snf_int(m)
+        d, _ = snf_int(m)
         prod = 1
         for x in d:
             prod *= x

@@ -1,5 +1,6 @@
 """Point modules, hermitian pairings and minimal cosets."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ from toran.mordell_weil import (
     orthogonality_certificate,
 )
 from toran.orders import EUCLIDEAN_DISCS, OrderElement, QuadRat
-from toran.subgroups import SubgroupMatrix, apply_matrix
+from toran.subgroups import SubgroupMatrix, _rank, apply_matrix
 
-from test_subgroups import _det
+from test_subgroups import _det, random_rows
 
 DISCS = list(EUCLIDEAN_DISCS)
 
@@ -209,6 +210,21 @@ def test_minimal_coset_properties():
             assert m == 0 and M.r == n
         # the coset membership survives at the torsion level: M x_tors = M zeta
         assert apply_matrix(M, x.torsion_point()) == apply_matrix(M, zeta)
+
+
+def test_minimal_coset_dimension_is_the_rank():
+    # the dimension is read off the left kernel; it must equal the rank of
+    # the coefficient matrix, including the zero and full-rank cases
+    rng = random.Random(2425)
+    for disc in DISCS:
+        for t, n in itertools.product((1, 2, 3), range(1, 5)):
+            spec = random_spec(rng, disc, t)
+            for rank_cap in {0, min(n, t), rng.randint(0, min(n, t))}:
+                rows = random_rows(rng, disc, n, t, rank_cap)
+                torsions = [rng.randrange(spec.torsion_order) for _ in range(n)]
+                x = PointInEN.from_rows(spec, rows, torsions)
+                M, _, m = minimal_coset(x)
+                assert m == M.dim == _rank(x.coefficient_rows())
 
 
 def test_orthogonality_certificate():

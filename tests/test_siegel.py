@@ -76,7 +76,6 @@ def test_certificate_arithmetic():
     # fractional exponent handled without floats: 30^2 > 8^2 * 13 = 832
     assert SiegelCertificate(28, 13, 1, 2, Fraction(8)).holds()
     assert not SiegelCertificate(30, 13, 1, 2, Fraction(8)).holds()
-    assert SiegelCertificate(0, 13, 1, 2, Fraction(8)).required_constant() == 0.0
 
 
 def test_random_certificates():
