@@ -128,14 +128,12 @@ def _norm_box(disc: int, cap: int) -> tuple[tuple, ...]:
 
 def _killing_stages(disc: int, n_ambient: int, x_budget: int, model):
     """Unit-class representatives (_dedup_unit_rows) of the _killing_rows
-    within x_budget, in stages of doubling cap (1, 2, 4, ..., then
-    x_budget), each stage holding the rows above the previous cap.  Unit
-    multiples share their summed norm, so each class lies within one stage."""
-    low, cap = 0, 1
-    while low < x_budget:
-        cap = min(cap, x_budget)
+    within x_budget, in stages of growing cap (1, 2, 4, 8, then x_budget),
+    each stage holding the rows above the previous cap.  Unit multiples
+    share their summed norm, so each class lies within one stage."""
+    caps = [c for c in (1, 2, 4, 8) if c < x_budget] + [x_budget]
+    for low, cap in zip([0] + caps, caps):
         yield _dedup_unit_rows(disc, _killing_rows(disc, n_ambient, cap, model, low))
-        low, cap = cap, 2 * cap
 
 
 class _StagedRows(list):

@@ -421,28 +421,8 @@ def test_enumeration_budget_exit_lists_one_stage():
     assert time.perf_counter() - start < 0.05
 
 
-def test_killing_stages_double_their_caps(monkeypatch):
-    caps = []
-
-    def recording(disc, n_ambient, cap, model, low=0):
-        caps.append((low, cap))
-        return _killing_rows(disc, n_ambient, cap, model, low)
-
-    monkeypatch.setattr(enumeration, "_killing_rows", recording)
-    for x_budget, want in [
-        (1, [1]),
-        (3, [1, 2, 3]),
-        (16, [1, 2, 4, 8, 16]),
-        (17, [1, 2, 4, 8, 16, 17]),
-        (40, [1, 2, 4, 8, 16, 32, 40]),
-    ]:
-        caps.clear()
-        list(enumeration._killing_stages(-4, 2, x_budget, []))
-        assert caps == list(zip([0] + want, want))
-
-
-# SHA-256 over the (a, b) entries of every listed label, in order, taken
-# when the last stage still jumped from cap 8 to X
+# count and SHA-256 over the (a, b) entries of every listed label, in
+# order: listings past X = 16, where the last stage holds every row in (8, X]
 ENUMERATION_PINS = {
     (-4, 2, 1, 17): (238, "7dc6ae8bbefae6c03447d6a68cccc2c6267ed2f9cce0421f99ccd699023f7e9e"),
     (-3, 2, 1, 24): (500, "4a32223c5f81a943bce2bd60ae1622f597d73fe09eb68f8238ba6f52f0953239"),

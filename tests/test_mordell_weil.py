@@ -1,6 +1,5 @@
 """Point modules, hermitian pairings and minimal cosets."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -190,16 +189,21 @@ def test_minimal_coset_of_torsion_point():
 
 def test_minimal_coset_properties():
     rng = random.Random(37)
-    for _ in range(100):
-        disc = rng.choice(DISCS)
-        spec = random_spec(rng, disc, rng.choice([1, 2]))
-        n = rng.randint(1, 4)
-        x = random_point(rng, spec, n)
+    for k in range(100):
+        disc = DISCS[k % 5]
+        t, n = rng.choice([1, 2]), rng.randint(1, 4)
+        spec = random_spec(rng, disc, t)
+        if k % 3:
+            x = random_point(rng, spec, n)
+        else:
+            # zero, deficient or full rank
+            rows = random_rows(rng, disc, n, t, rng.randint(0, min(n, t)))
+            x = PointInEN.from_rows(spec, rows, [rng.randrange(spec.torsion_order) for _ in range(n)])
         M, zeta, m = minimal_coset(x)
-        assert M.dim == m
+        A = x.coefficient_rows()
+        assert M.dim == m == _rank(A)
         assert zeta == x.torsion_point()
         # M kills the free part of x coordinate-wise
-        A = x.coefficient_rows()
         for row in M.rows:
             for j in range(spec.rank):
                 acc = OrderElement.zero(disc)
@@ -210,21 +214,6 @@ def test_minimal_coset_properties():
             assert m == 0 and M.r == n
         # the coset membership survives at the torsion level: M x_tors = M zeta
         assert apply_matrix(M, x.torsion_point()) == apply_matrix(M, zeta)
-
-
-def test_minimal_coset_dimension_is_the_rank():
-    # the dimension is read off the left kernel; it must equal the rank of
-    # the coefficient matrix, including the zero and full-rank cases
-    rng = random.Random(2425)
-    for disc in DISCS:
-        for t, n in itertools.product((1, 2, 3), range(1, 5)):
-            spec = random_spec(rng, disc, t)
-            for rank_cap in {0, min(n, t), rng.randint(0, min(n, t))}:
-                rows = random_rows(rng, disc, n, t, rank_cap)
-                torsions = [rng.randrange(spec.torsion_order) for _ in range(n)]
-                x = PointInEN.from_rows(spec, rows, torsions)
-                M, _, m = minimal_coset(x)
-                assert m == M.dim == _rank(x.coefficient_rows())
 
 
 def test_orthogonality_certificate():
