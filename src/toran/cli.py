@@ -243,14 +243,7 @@ def _cmd_enumerate(args) -> int:
         return EXIT_OK
     if args.dim is None or args.x_budget is None:
         raise serialize.FormatError("subgroup enumeration needs --dim and --x-budget")
-    subs = enumerate_subgroups(
-        disc,
-        args.ambient,
-        args.dim,
-        args.x_budget,
-        budget=args.budget,
-        witness_level=args.witness_level,
-    )
+    subs = enumerate_subgroups(disc, args.ambient, args.dim, args.x_budget, budget=args.budget)
     out = {
         "disc": disc,
         "N": args.ambient,
@@ -362,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--exact-order", action="store_true")
     e.add_argument("--dim", type=int, help="subgroup dimension")
     e.add_argument("--x-budget", type=int, dest="x_budget")
-    e.add_argument("--witness-level", type=int, dest="witness_level")
     e.add_argument("--budget", type=int, default=200_000)
     e.add_argument("--count-only", action="store_true")
     e.set_defaults(func=_cmd_enumerate)

@@ -3,23 +3,30 @@ brute-force oracle for the minimal coset through a point.
 
 Subgroups of codimension r in E^N are listed through r x N coefficient
 matrices whose surrogate degree, the product over rows of the summed entry
-norms, stays within a budget X.  Matrices are identified with the connected
-subgroup they cut out, so the canonical label is the Hermite form of the
-saturation; listing all independent matrices within X, one row per unit
-class, and filtering on the label's own surrogate makes the output exactly
-the set of canonical labels within X.
+norms, stays within a budget X.  Each connected subgroup has one label, the
+Hermite form of its saturation.  The listing walks the matrices in Hermite
+form within X, each once, and keeps the saturated ones, so the output is
+exactly the set of labels within X.  The oracle settles its top level with
+one saturation and walks the same labels, restricted to killing rows, below
+it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import add
 
 from .bounds import _jordan_totient
-from .intlattice import rank_int
+from .intlattice import rank_int, snf_int
 from .mordell_weil import PointInEN
-from .orders import _OMEGA, EUCLIDEAN_DISCS, OrderElement, _elements_norm_le, units
+from .orders import (
+    EUCLIDEAN_DISCS,
+    OrderElement,
+    _elements_norm_le,
+    canonical_residue,
+    canonicalizing_unit,
+)
 from .subgroups import (
     BudgetExceededError,
     SubgroupMatrix,
@@ -29,7 +36,6 @@ from .subgroups import (
     degree_surrogate,
     integer_model,
     ints_to_vector,
-    kernel_lattice_at_level,
     saturate,
 )
 
@@ -126,30 +132,98 @@ def _norm_box(disc: int, cap: int) -> tuple[tuple, ...]:
     return tuple((e.norm(), e.a, e.b) for e in _elements_norm_le(disc, cap))
 
 
-def _killing_stages(disc: int, n_ambient: int, x_budget: int, model):
-    """Unit-class representatives (_dedup_unit_rows) of the _killing_rows
-    within x_budget, in stages of growing cap (1, 2, 4, 8, then x_budget),
-    each stage holding the rows above the previous cap.  Unit multiples
-    share their summed norm, so each class lies within one stage."""
-    caps = [c for c in (1, 2, 4, 8) if c < x_budget] + [x_budget]
-    for low, cap in zip([0] + caps, caps):
-        yield _dedup_unit_rows(disc, _killing_rows(disc, n_ambient, cap, model, low))
+@lru_cache(maxsize=64)
+def _associates(disc: int, cap: int) -> tuple[tuple, ...]:
+    """(norm, a, b) for each nonzero canonical associate of norm at most
+    cap, sorted by norm: the pivots hnf can leave."""
+    return tuple(
+        (ne, a, b)
+        for ne, a, b in _norm_box(disc, cap)
+        if ne and canonicalizing_unit(OrderElement(disc, a, b)) == 1
+    )
 
 
-class _StagedRows(list):
-    """A sorted row list that ``grow`` extends by the next non-empty one of
-    ``stages``, each sorting after the last, or returns False at their end."""
+@lru_cache(maxsize=256)
+def _residues(disc: int, a: int, b: int) -> tuple[tuple, ...]:
+    """(norm, a, b) for each canonical residue modulo the nonzero a + b*w,
+    sorted by norm: the entries hnf can leave above that pivot.  Every
+    residue has a smaller norm than the modulus, since all five orders are
+    norm-Euclidean."""
+    mod = OrderElement(disc, a, b)
+    return tuple(
+        (ne, x, y)
+        for ne, x, y in _norm_box(disc, mod.norm() - 1)
+        if canonical_residue(OrderElement(disc, x, y), mod) == OrderElement(disc, x, y)
+    )
 
-    def __init__(self, stages):
-        super().__init__()
-        self._stages = stages
 
-    def grow(self) -> bool:
-        for rows in self._stages:
-            if rows:
-                self.extend(rows)
-                return True
-        return False
+def _hermite_rows(boxes, cap: int, cols, start: int) -> list[tuple]:
+    """(summed norm, flat row) for each row that is zero before column
+    ``start``, takes its entry in column start + k from the sorted (norm,
+    a, b) tuple boxes[k], has summed norm at most cap and is killed by the
+    model whose columns are ``cols``.  The image is accumulated per column,
+    as in _killing_rows."""
+    n_ambient = start + len(boxes)
+    out = []
+    stack = [(0, (0, 0) * start, (0,) * len(cols[0]))]
+    while stack:
+        used, flat, img = stack.pop()
+        k = len(flat) // 2
+        if k == n_ambient:
+            if not any(img):
+                out.append((used, flat))
+            continue
+        xs, ys = cols[2 * k], cols[2 * k + 1]
+        for ne, a, b in boxes[k - start]:
+            if used + ne > cap:
+                break
+            step = tuple(v + a * x + b * y for v, x, y in zip(img, xs, ys))
+            stack.append((used + ne, flat + (a, b), step))
+    return out
+
+
+def _labels(disc: int, n_ambient: int, r: int, x_budget: int, model):
+    """Every r x N matrix in hnf's form whose row-norm product is at most
+    x_budget, as a tuple of element rows, whose rows the integer model all
+    kills; an empty model kills every row.
+
+    For each choice of pivot columns the rows are built bottom-up, each
+    capped at x_budget // (product so far).  A row is zero before its
+    pivot, the pivot is a canonical associate, and its entry in each lower
+    row's pivot column is a canonical residue modulo that pivot, so hnf
+    fixes every matrix listed and each is listed once.
+    """
+    cols = [tuple(m[k] for m in model) for k in range(2 * n_ambient)]
+    box = _norm_box(disc, x_budget)
+    for pivots in combinations(range(n_ambient), r):
+        stack = [((), 1)]
+        while stack:
+            below, prod = stack.pop()
+            i = r - 1 - len(below)
+            if i < 0:
+                yield tuple(ints_to_vector(disc, flat) for flat in below)
+                continue
+            lower = dict(zip(pivots[i + 1 :], below))
+            boxes = [_associates(disc, x_budget)]
+            for k in range(pivots[i] + 1, n_ambient):
+                flat = lower.get(k)
+                boxes.append(box if flat is None else _residues(disc, *flat[2 * k : 2 * k + 2]))
+            for s, flat in _hermite_rows(boxes, x_budget // prod, cols, pivots[i]):
+                stack.append(((flat,) + below, prod * s))
+
+
+def _saturated_labels(disc, n_ambient, r, x_budget, model, budget, examined=0):
+    """The _labels whose integer model has every Smith invariant 1, that
+    is the saturated ones, as matrices, with the running count of labels
+    examined; past ``budget`` labels it raises BudgetExceededError."""
+    out = []
+    for rows in _labels(disc, n_ambient, r, x_budget, model):
+        examined += 1
+        if examined > budget:
+            raise BudgetExceededError(f"examined more than {budget} candidate matrices")
+        if all(d == 1 for d in snf_int(integer_model(rows, disc, n_ambient))[0]):
+            out.append(SubgroupMatrix(disc, n_ambient, rows, check_rank=False))
+    return out, examined
 
 
 def enumerate_subgroups(
@@ -158,17 +232,14 @@ def enumerate_subgroups(
     dim: int,
     x_budget: int,
     budget: int = 2_000_000,
-    witness_level: int | None = None,
 ) -> tuple[SubgroupMatrix, ...]:
     """Connected subgroups of the given dimension whose canonical matrix has
     surrogate degree at most x_budget, sorted by (surrogate, minors, entries).
 
-    Every subgroup is cut out by independent rows, and scaling a row by a
-    unit keeps both the subgroup and the row's summed norm, so the search
-    runs over unit-class representatives of all rows.  At most ``budget``
-    candidate matrices are examined.  With witness_level set, pairwise
-    distinctness of the listed subgroups is re-verified on their kernel
-    lattices at that level.
+    Each subgroup is listed through its label, the Hermite form of its
+    saturation: the walk over matrices in Hermite form within x_budget
+    (_labels) keeps the saturated ones.  At most ``budget`` labels are
+    examined.
     """
     if disc not in EUCLIDEAN_DISCS:
         raise ValueError(f"unsupported discriminant {disc}")
@@ -178,56 +249,10 @@ def enumerate_subgroups(
         raise ValueError("need a positive surrogate budget")
     if budget < 0:
         raise ValueError(f"need a non-negative candidate budget, got {budget}")
-    result = _search_subgroups(disc, n_ambient, n_ambient - dim, x_budget, budget)
-    if witness_level is not None:
-        lattices = {kernel_lattice_at_level(m, witness_level) for m in result}
-        assert len(lattices) == len(result)
-    return result
-
-
-def _row_choices(rows, r, cap, start=0, chosen=(), prod=1):
-    """Independent choices of r rows from the _StagedRows list ``rows`` of
-    (summed norm, row), by strictly increasing index in depth-first order,
-    whose norm product stays within cap.  A prefix of deficient rank is
-    dropped, and the list grows only when the search reads past its end."""
-    if len(chosen) == r:
-        yield chosen
-        return
-    i = start
-    while i < len(rows) or rows.grow():
-        s, row = rows[i]
-        if prod * s > cap:
-            break
-        i += 1
-        nxt = chosen + (row,)
-        if _rank(nxt) == len(nxt):
-            yield from _row_choices(rows, r, cap, i, nxt, prod * s)
-
-
-def _search_subgroups(disc, n_ambient, r, x_budget, budget):
-    if r == 0:
+    if dim == n_ambient:
         return (SubgroupMatrix(disc, n_ambient, []),)
-    rows = _StagedRows(_killing_stages(disc, n_ambient, x_budget, []))  # all rows kill
-    seen: dict = {}
-    examined = 0
-    for chosen in _row_choices(rows, r, x_budget):
-        examined += 1
-        if examined > budget:
-            raise BudgetExceededError(f"examined more than {budget} candidate matrices")
-        canon = _label_within(disc, n_ambient, chosen, x_budget)
-        if canon is not None:
-            seen.setdefault(canon.rows, canon)
-    return tuple(sorted(seen.values(), key=lambda m: (surrogate_degree(m), _tie_key(m))))
-
-
-def _label_within(disc: int, n_ambient: int, chosen, x_budget: int):
-    """The canonical label (the Hermite form of the saturation) of the
-    subgroup that ``chosen`` cuts out, or None when it loses rank or its
-    surrogate degree exceeds x_budget."""
-    canon = saturate(SubgroupMatrix(disc, n_ambient, chosen, check_rank=False))
-    if canon.r == len(chosen) and surrogate_degree(canon) <= x_budget:
-        return canon
-    return None
+    found, _ = _saturated_labels(disc, n_ambient, n_ambient - dim, x_budget, (), budget)
+    return tuple(sorted(found, key=lambda m: (surrogate_degree(m), _tie_key(m))))
 
 
 def _tie_key(m: SubgroupMatrix) -> tuple:
@@ -236,72 +261,52 @@ def _tie_key(m: SubgroupMatrix) -> tuple:
     return degree_surrogate(m).minor_sum, tuple((e.a, e.b) for row in m.rows for e in row)
 
 
-def _dedup_unit_rows(disc: int, rows) -> list[tuple]:
-    """The first of each unit-scaling class among (summed norm, flat) rows,
-    in input order, as (summed norm, element row).
-
-    Unit multiples are taken on the flat coordinates.  Every unit multiple
-    of a killing row kills and has the same summed norm, so each one is met
-    at most once and leaves the seen-set when met.
-    """
-    t, n0 = _OMEGA[disc]
-    others = [(u.a, u.b) for u in units(disc)[1:]]
-    seen = set()
-    out = []
-    for s, flat in rows:
-        if flat in seen:
-            seen.remove(flat)
-            continue
-        pairs = list(zip(flat[::2], flat[1::2]))
-        for ua, ub in others:
-            seen.add(tuple(
-                c
-                for a, b in pairs
-                for c in (ua * a - n0 * ub * b, ua * b + ub * a + t * ub * b)
-            ))
-        out.append((s, ints_to_vector(disc, flat)))
-    return out
-
-
 def brute_force_minimal_coset(
     point: PointInEN, x_budget: int = 16, budget: int = 2_000_000
 ):
     """Smallest-dimension connected subgroup within the surrogate budget
     whose coset through the point contains it, found without the one-shot
-    kernel computation: rows within the budget that kill the coefficient
-    matrix in its integer model are listed, and maximal independent sets of
-    killing rows are assembled by direct search.  Ties are broken by minor
-    sums, then by entries.  Returns (matrix, torsion part, dimension).
+    kernel computation.  Ties are broken by minor sums, then by entries.
+    Returns (matrix, torsion part, dimension).
 
-    Every killing row lies in the left kernel of the coefficient matrix, so
-    the kill rank is at most N - rank(model)/2.  Rows are listed in stages
-    until they reach that rank, and later only as the search reads them."""
+    Rows within the budget that kill the coefficient matrix in its integer
+    model lie in its left kernel, so their rank is at most N - rank(model)/2;
+    they are listed (_killing_rows) in stages of growing cap (1, 2, 4, 8,
+    then x_budget) until they reach that rank.  Every maximal independent
+    set of them spans the same saturation, so the top level is one
+    saturation of their span, counted as one label examined.  Below it,
+    each level walks the labels whose rows all kill (_labels with the model).
+    """
     disc = point.spec.disc
     n_ambient = point.N
     model = integer_model(zip(*point.coefficient_rows()), disc, n_ambient)
     bound = n_ambient - rank_int(model) // 2
-    killing = _StagedRows(_killing_stages(disc, n_ambient, x_budget, model))
+    caps = [c for c in (1, 2, 4, 8) if c < x_budget] + [x_budget]
+    killing = []
     kill_rank = 0
-    while kill_rank < bound and killing.grow():
-        kill_rank = _rank([row for _, row in killing])
+    for low, cap in zip([0] + caps, caps):
+        if kill_rank >= bound:
+            break
+        rows = _killing_rows(disc, n_ambient, cap, model, low)
+        if rows:
+            killing += [ints_to_vector(disc, flat) for _, flat in rows]
+            kill_rank = _rank(killing)
     if kill_rank > bound:
         raise AssertionError(f"killing rows of rank {kill_rank} exceed the kernel rank {bound}")
 
-    examined = 0
-    for r in range(kill_rank, 0, -1):
-        candidates: list[SubgroupMatrix] = []
-        for chosen in _row_choices(killing, r, x_budget):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceededError(f"examined more than {budget} candidate matrices")
-            canon = _label_within(disc, n_ambient, chosen, x_budget)
-            if canon is not None:
-                candidates.append(canon)
-            if r == kill_rank:
-                # all maximal independent subsets span the same saturation,
-                # so the top level is decided by its first leaf
-                break
-        if candidates:
-            return min(candidates, key=_tie_key), point.torsion_point(), n_ambient - r
     empty = SubgroupMatrix(disc, n_ambient, [])
+    if kill_rank == 0:
+        return empty, point.torsion_point(), n_ambient
+    if budget < 1:
+        raise BudgetExceededError(f"examined more than {budget} candidate matrices")
+    top = saturate(SubgroupMatrix(disc, n_ambient, killing, check_rank=False))
+    if surrogate_degree(top) <= x_budget:
+        return top, point.torsion_point(), n_ambient - kill_rank
+    examined = 1
+    for r in range(kill_rank - 1, 0, -1):
+        found, examined = _saturated_labels(
+            disc, n_ambient, r, x_budget, model, budget, examined
+        )
+        if found:
+            return min(found, key=_tie_key), point.torsion_point(), n_ambient - r
     return empty, point.torsion_point(), n_ambient

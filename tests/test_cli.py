@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -381,12 +382,21 @@ def test_enumerate_budget_exit_code(capsys):
     assert "budget exceeded" in err
 
 
-@pytest.mark.parametrize("level", ["-3", "-1", "0"])
-def test_enumerate_witness_level_below_one_exits_2(capsys, level):
-    argv = ["enumerate", "--kind", "subgroups", "--disc", "-4", "--ambient", "2", "--dim", "1"]
-    code, out, err = run_cli(capsys, argv + ["--x-budget", "2", "--witness-level", level])
-    assert code == 2 and out == ""
-    assert "level >= 1" in err
+def test_enumerate_has_no_witness_level(capsys):
+    # equal kernels at one level do not make two subgroups equal, so there
+    # is no witness check to ask for; the listing itself is unchanged
+    argv = ["enumerate", "--kind", "subgroups", "--disc", "-7", "--ambient", "2", "--dim", "1"]
+    argv += ["--x-budget", "20"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--witness-level", "3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --witness-level 3" in captured.err
+    assert "Traceback" not in captured.err
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["count"] == 332
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a5d070c84a41dd919475d787cf84f3d59a2f4fe98f48b63f39ee68ac6ed4fe45"
 
 
 @pytest.mark.parametrize("kind", ["subgroups", "torsion", "torsion --count-only"])

@@ -10,7 +10,6 @@ import pytest
 
 import toran.enumeration as enumeration
 from toran.enumeration import (
-    _dedup_unit_rows,
     _killing_rows,
     brute_force_minimal_coset,
     count_torsion_points,
@@ -139,14 +138,23 @@ def test_enumerate_subgroups_frozen_rows():
 
 
 def test_enumerate_subgroups_properties():
-    out = enumerate_subgroups(-4, 2, 1, 5, witness_level=6)
-    keys = []
-    for m in out:
-        assert m.dim == 1
-        assert saturate(m) == m and hnf(m) == m
-        assert surrogate_degree(m) <= 5
-        keys.append(surrogate_degree(m))
-    assert keys == sorted(keys)
+    # every listed label is fixed by hnf and saturate, listed once, and in
+    # (surrogate, minor sum, entries) order
+    x_max = {1: 16, 2: 5, 3: 2}
+    for disc, n in itertools.product(DISCS, (1, 2, 3)):
+        for dim in range(n + 1):
+            out = enumerate_subgroups(disc, n, dim, x_max[n])
+            keys = []
+            for m in out:
+                assert m.dim == dim
+                assert saturate(m) == m and hnf(m) == m
+                assert surrogate_degree(m) <= x_max[n]
+                flat = tuple((e.a, e.b) for row in m.rows for e in row)
+                keys.append((surrogate_degree(m), degree_surrogate(m).minor_sum, flat))
+            assert len(set(out)) == len(out)
+            assert keys == sorted(keys)
+    # on this key the 22 lines are also told apart by their kernels at level 6
+    out = enumerate_subgroups(-4, 2, 1, 5)
     lattices = {kernel_lattice_at_level(m, 6) for m in out}
     assert len(lattices) == len(out)
 
@@ -258,9 +266,8 @@ def _scan_dedup(disc, rows):
 
 
 def test_killing_rows_match_scan():
-    # the prefix search with a last-coordinate lookup against a full scan,
-    # and the integer unit dedup against canonicalizing_unit; a zero last
-    # coefficient makes the last block non-injective
+    # the prefix search with a last-coordinate lookup against a full scan;
+    # a zero last coefficient makes the last block non-injective
     rng = random.Random(1212)
     zero_last = 0
     for disc, n, rank in itertools.product(DISCS, (1, 2, 3, 4), (0, 1, 2)):
@@ -276,8 +283,6 @@ def test_killing_rows_match_scan():
             killing = _killing_rows(disc, n, cap, integer_model(columns, disc, n))
             want = _scan_killing(disc, n, cap, columns)
             assert killing == want
-            got = [(s, list(row)) for s, row in _dedup_unit_rows(disc, killing)]
-            assert got == _scan_dedup(disc, want)
     assert zero_last > 0
 
 
@@ -336,7 +341,7 @@ def _full_list_oracle(point, x_budget, budget=2_000_000):
     it searches; returns its result and the number of candidates examined."""
     disc, n = point.spec.disc, point.N
     model = integer_model(zip(*point.coefficient_rows()), disc, n)
-    killing = _dedup_unit_rows(disc, _killing_rows(disc, n, x_budget, model))
+    killing = _scan_dedup(disc, _killing_rows(disc, n, x_budget, model))
     kill_rank = _rank([row for _, row in killing])
     examined = 0
     for r in range(kill_rank, 0, -1):
@@ -362,11 +367,11 @@ def _full_list_oracle(point, x_budget, budget=2_000_000):
     return (SubgroupMatrix(disc, n, []), point.torsion_point(), n), examined
 
 
-def test_oracle_matches_full_list_reference():
+def test_oracle_matches_full_list_reference(monkeypatch):
     # seeded points over every discriminant, N = 1..4 and rank 1..2, plus
     # all-zero coefficients and (3, 4) over -4, whose kill rank is 0 at cap
-    # 16; at N = 4 and cap 9 the top level's first leaf often fails and the
-    # lower levels decide
+    # 16; at N = 4 and cap 9 the top level's saturation often exceeds the
+    # cap and the lower levels' labels decide
     rng = random.Random(2024)
     points = [(rank_one_point(-4, [[3], [4]]), 16)]
     for disc, n, rank in itertools.product(DISCS, (1, 2, 3, 4), (1, 2)):
@@ -379,13 +384,25 @@ def test_oracle_matches_full_list_reference():
             rows = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)]
             torsions = [rng.randrange(spec.torsion_order) for _ in range(n)]
             points.append((PointInEN.from_rows(spec, rows, torsions), cap))
+    walked = []
+
+    def counting(*args):
+        for label in labels(*args):
+            walked.append(label)
+            yield label
+
+    labels = enumeration._labels
+    monkeypatch.setattr(enumeration, "_labels", counting)
     lower = 0
     for x, cap in points:
-        want, examined = _full_list_oracle(x, cap)
+        want, reference_examined = _full_list_oracle(x, cap)
+        walked.clear()
         assert brute_force_minimal_coset(x, x_budget=cap) == want
-        lower += examined > 1
-        if examined:
-            # a budget below the examined count raises at the same count
+        lower += bool(walked)
+        if reference_examined:  # the kill rank is positive
+            # the top level counts as one label; a budget below the count
+            # raises at the same count
+            examined = 1 + len(walked)
             with pytest.raises(BudgetExceededError, match=f"more than {examined - 1} "):
                 brute_force_minimal_coset(x, x_budget=cap, budget=examined - 1)
             assert brute_force_minimal_coset(x, x_budget=cap, budget=examined) == want
@@ -413,8 +430,8 @@ def test_oracle_stops_listing_at_the_kernel_rank(monkeypatch):
 
 
 def test_enumeration_budget_exit_lists_one_stage():
-    # the search examines its first candidates among the unit rows, so a
-    # budget exit does not pay for the full row list
+    # the walk yields its first labels after one bottom row list, so a
+    # budget exit does not pay for the rows of every pivot choice
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="more than 10 "):
         enumerate_subgroups(-4, 3, 1, 40, budget=10)
@@ -441,9 +458,9 @@ def test_enumeration_pinned_beyond_16(key):
 
 
 def _reference_subgroups(disc, n, dim, x_budget):
-    """Reference enumerator over every row within the budget (not one per
-    unit class), with indices that may repeat and the rank checked only at
-    the leaf.  Returns the sorted labels and the number of candidates
+    """Reference enumerator over every row within the budget, with indices
+    that may repeat and the rank checked only at the leaf, saturating each
+    choice.  Returns the sorted labels and the number of candidates
     examined."""
     r = n - dim
     if r == 0:
@@ -479,8 +496,8 @@ def _reference_subgroups(disc, n, dim, x_budget):
 
 def test_enumeration_matches_reference():
     # one seeded key per discriminant, N = 1..3 and dim, with X small enough
-    # for the reference's repeated-index search; the unit-class search must
-    # list the same labels in the same order
+    # for the reference's repeated-index search; the label walk must list
+    # the same labels in the same order
     rng = random.Random(1515)
     x_max = {1: [16, 16], 2: [3, 6, 6], 3: [1, 2, 3, 3]}
     keys = []
@@ -493,12 +510,23 @@ def test_enumeration_matches_reference():
     assert enumerate_subgroups(-4, 2, 1, 2) == enumerate_subgroups(-4, 2, 1, 2)
 
 
-def test_enumeration_examines_unit_classes_once():
+def test_enumeration_examines_each_label_once():
     # the reference examines 6327 candidates at (-3, 3, 1, 3): every unit
-    # multiple of every row, repeated rows and rank-deficient prefixes
+    # multiple of every row, repeated rows and rank-deficient prefixes; the
+    # walk examines the 27 Hermite forms within X, 21 of them saturated
     want, examined = _reference_subgroups(-3, 3, 1, 3)
     assert examined == 6327 and len(want) == 21
-    assert enumerate_subgroups(-3, 3, 1, 3, budget=171) == want
-    with pytest.raises(BudgetExceededError, match="more than 170 "):
-        enumerate_subgroups(-3, 3, 1, 3, budget=170)
+    assert enumerate_subgroups(-3, 3, 1, 3, budget=27) == want
+    with pytest.raises(BudgetExceededError, match="more than 26 "):
+        enumerate_subgroups(-3, 3, 1, 3, budget=26)
+
+
+def test_enumeration_budget_counts_labels():
+    # 462 Hermite forms within X = 8, where a search over independent unit
+    # rows examines 4104 candidates
+    want = enumerate_subgroups(-4, 3, 1, 8)
+    assert len(want) == 243
+    assert enumerate_subgroups(-4, 3, 1, 8, budget=462) == want
+    with pytest.raises(BudgetExceededError, match="more than 461 "):
+        enumerate_subgroups(-4, 3, 1, 8, budget=461)
 
