@@ -1,13 +1,16 @@
 """Exact integer lattice plumbing: the determinant (``det_int``), the
-canonical row Hermite form (``hnf_int``) and the rank it gives
-(``rank_int``), and the Smith form's diagonal with its column transform
-(``snf_int`` returns (d, V); the row transform is not built).
+canonical row Hermite form (``hnf_int``, run modulo D for a lattice given
+to contain D*Z^n) and the rank it gives (``rank_int``), and the Smith
+form's diagonal with its column transform (``snf_int`` returns (d, V);
+the row transform is not built).
 
 These run on small dense matrices (dimensions a few dozen at most), so the
 classical cubic algorithms with Python bigints are plenty.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 
 def det_int(M: list[list[int]]) -> int:
@@ -37,45 +40,56 @@ def det_int(M: list[list[int]]) -> int:
     return sign * A[n - 1][n - 1]
 
 
-def hnf_int(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+def hnf_int(rows: list[list[int]], modulus: int = 0) -> tuple[tuple[int, ...], ...]:
     """Canonical row Hermite form of the lattice spanned by ``rows``.
 
     Pivots are positive, entries above a pivot lie in [0, pivot), zero rows
     are dropped.  Two generating sets span the same lattice iff their forms
     are equal, which is what the dedup and membership checks rely on.
+
+    With ``modulus`` D > 0 the lattice is that of ``rows`` together with
+    D*Z^n, and the form is computed modulo D (Domich, Kannan and Trotter
+    1987; Cohen, Alg. 2.4.8): the pivot of column c starts at D*e_c and
+    folds in each row by an extended-gcd 2x2 step, and every entry right of
+    the current column stays in [0, D).
     """
     if not rows:
         return ()
-    A = [[int(x) for x in row] for row in rows]
-    m, n = len(A), len(A[0])
-    r = 0
+    A = [[int(x) % modulus if modulus else int(x) for x in row] for row in rows]
+    n = len(A[0])
+    H = []
     for c in range(n):
-        while True:
-            nz = [i for i in range(r, m) if A[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(A[i][c]))
-            A[r], A[i0] = A[i0], A[r]
-            done = True
-            for i in range(r + 1, m):
-                if A[i][c] != 0:
-                    q = A[i][c] // A[r][c]
-                    A[i] = [A[i][j] - q * A[r][j] for j in range(n)]
-                    if A[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < m and A[r][c] != 0:
-            if A[r][c] < 0:
-                A[r] = [-x for x in A[r]]
-            for k in range(r):
-                q = A[k][c] // A[r][c]
-                if q:
-                    A[k] = [A[k][j] - q * A[r][j] for j in range(n)]
-            r += 1
-            if r == m:
-                break
-    return tuple(tuple(row) for row in A[:r])
+        if modulus:
+            P = [modulus * int(j == c) for j in range(n)]
+            for R in A:
+                if R[c]:
+                    # [P; R] <- [[u, v], [-r, p]] [P; R], where u*p + v*r = 1
+                    g = gcd(P[c], R[c])
+                    p, r = P[c] // g, R[c] // g
+                    u = pow(p, -1, r)
+                    v = (1 - u * p) // r
+                    P, R[:] = ([(u * x + v * y) % modulus for x, y in zip(P, R)],
+                               [(p * y - r * x) % modulus for x, y in zip(P, R)])
+        else:
+            P = None
+            while nz := [R for R in A if R[c]]:
+                P = min(nz, key=lambda R: abs(R[c]))
+                if len(nz) == 1:
+                    break
+                for R in nz:
+                    if R is not P:
+                        q = R[c] // P[c]
+                        R[:] = [x - q * y for x, y in zip(R, P)]
+            if P is None:
+                continue
+            A = [R for R in A if R is not P]
+            P = [-x for x in P] if P[c] < 0 else P
+        for K in H:
+            q = K[c] // P[c]
+            if q:
+                K[:] = [x - q * y for x, y in zip(K, P)]
+        H.append(P)
+    return tuple(tuple(row) for row in H)
 
 
 def snf_int(M: list[list[int]]) -> tuple[list[int], list[list[int]]]:

@@ -161,6 +161,18 @@ class OrderElement(_Frozen):
         return format_element(self)
 
 
+_SET_DISC, _SET_A, _SET_B = (OrderElement.__dict__[k].__set__ for k in OrderElement.__slots__)
+
+
+def _element(disc: int, a: int, b: int) -> OrderElement:
+    """a + b*w from ints the library computed, skipping the public checks."""
+    e = object.__new__(OrderElement)
+    _SET_DISC(e, disc)
+    _SET_A(e, a)
+    _SET_B(e, b)
+    return e
+
+
 def _integral(v) -> int:
     # a float is refused even when integral: 10**17 + 1.0 is already 10**17
     if isinstance(v, float) or (n := int(v)) != v:
@@ -248,27 +260,34 @@ def _nearest(disc: int, xa: int, xb: int, ya: int, yb: int, by_remainder: bool):
     y = ya + yb*w != 0.  Ties go to the least (m, n), or with ``by_remainder``
     to the least (a, b) of x - q*y.
 
-    The 4x4 window around floor(x/y) holds every q with norm(x - q*y) <
-    norm(y): the norm form's least eigenvalue is 1/2 on all five orders.
     The integer key norm(x*conj(y) - q*norm(y)) is norm(y) * norm(x - q*y).
+    With x*conj(y) = A + B*w = norm(y) * (alpha + beta*w), key/norm(y)^2 is
+    (alpha - m + t*(beta - n)/2)^2 + c*(beta - n)^2 for c = n0 - t^2/4 in
+    {3/4, 1, 7/4, 2, 11/4}.  An n outside {floor(beta), floor(beta) + 1}
+    costs at least c > 1/4 + c/4 (as c > 1/3), the most the best n inside
+    costs.  For fixed n, with v = B - n*norm(y), only
+    m = floor((2A + t*v) / (2*norm(y))) and m + 1 can be least: 4 candidates.
     """
     t, n0 = _OMEGA[disc]
     c = ya + t * yb  # conj(y) = c - yb*w
     A = xa * c + n0 * xb * yb
     B = xb * c - xa * yb - t * xb * yb
     ny = ya * c + n0 * yb * yb
-    fu, fv = A // ny, B // ny
     best = None
-    for m in range(fu - 1, fu + 3):
-        u = A - m * ny
-        for n in range(fv - 1, fv + 3):
-            v = B - n * ny
+    fv = B // ny
+    for n in (fv, fv + 1):
+        v = B - n * ny
+        fm = (2 * A + t * v) // (2 * ny)
+        for m in (fm, fm + 1):
+            u = A - m * ny
             key = u * u + (t * u + n0 * v) * v
             if best is None or key < best:
                 best, q = key, (m, n)
-            elif by_remainder and key == best:
-                rem = lambda m, n: (xa - m * ya + n0 * n * yb, xb - m * yb - n * c)
-                if rem(m, n) < rem(*q):
+            elif key == best:
+                # the remainder at (m, n) minus that at q is (dm + dn*w)*y
+                dm, dn = q[0] - m, q[1] - n
+                diff = (dm * ya - n0 * dn * yb, dm * yb + dn * c) if by_remainder else (-dm, -dn)
+                if diff < (0, 0):
                     q = (m, n)
     return q
 

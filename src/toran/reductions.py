@@ -17,6 +17,7 @@ from .orders import OrderElement, QuadRat, _Frozen, _as_element, _dot
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
+    _hnf,
     _identity,
     _left_kernel,
     apply_matrix,
@@ -97,7 +98,7 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
     B = gp.coefficient_matrix()
     U = _left_kernel(B, disc)  # (N - rank(b)) x N, saturated
     if len(U) == N:
-        M = SubgroupMatrix(disc, N, _identity(disc, N), check_rank=False)
+        M = _hnf(_identity(N), disc, N)  # the identity, already in Hermite form
         return TorsionCoset(M, x.torsion_point())
     raw_rows = [
         [U[k][i] * gp.multipliers[i] for i in range(N)] for k in range(len(U))

@@ -23,6 +23,7 @@ from .orders import (
 )
 from .subgroups import (
     SubgroupMatrix,
+    _flat,
     _rank,
     _right_kernel,
     _row_norm_product,
@@ -158,7 +159,7 @@ def small_solution(
             f"count must lie in [1, {system.n - system.m}], got {count}"
         )
     disc = system.disc
-    kernel = _right_kernel(system.rows, disc, system.n)
+    kernel = _right_kernel(_flat(system.rows), disc, system.n)
     reduced = _lll(disc, _z_basis(kernel, disc))
     ordered = sorted(reduced, key=lambda f: (_max_coord_norm(disc, f), f))
     chosen: list[list[OrderElement]] = []

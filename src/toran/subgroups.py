@@ -21,6 +21,7 @@ from .orders import (
     _Frozen,
     _as_element,
     _dot,
+    _element,
     _nearest,
     canonicalizing_unit,
 )
@@ -104,40 +105,42 @@ class SubgroupMatrix(_Frozen):
 
 
 # ---------------------------------------------------------------------------
-# elimination over the order
+# elimination over the order, on flat integer rows (a1, b1, a2, b2, ...)
 
 
-def _identity(disc: int, n: int) -> list[list[OrderElement]]:
-    one = OrderElement.one(disc)
-    zero = OrderElement.zero(disc)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def _identity(n: int) -> list[list[int]]:
+    return [[int(k == 2 * i) for k in range(2 * n)] for i in range(n)]
+
+
+def _flat(rows) -> list[list[int]]:
+    return [vector_to_ints(row) for row in rows]
 
 
 def _reduce(R: list[int], P: list[int], a: int, disc: int, by_remainder: bool) -> None:
-    """R -= q*P in place on flat rows (a1, b1, a2, b2, ...), where q is the
-    nearest quotient of the entry (R[a], R[a+1]) by (P[a], P[a+1])."""
+    """R -= q*P in place on flat rows, where q is the nearest quotient of
+    the entry (R[a], R[a+1]) by (P[a], P[a+1]); P is zero before index a."""
     m, n = _nearest(disc, R[a], R[a + 1], P[a], P[a + 1], by_remainder)
     t, n0 = _OMEGA[disc]
-    for j in range(0, len(R), 2):
+    nn, mt = n0 * n, m + t * n
+    for j in range(a, len(R), 2):
         pa, pb = P[j], P[j + 1]
-        R[j] -= m * pa - n0 * n * pb
-        R[j + 1] -= n * pa + (m + t * n) * pb
+        R[j] -= m * pa - nn * pb
+        R[j + 1] -= n * pa + mt * pb
 
 
-def _echelon(rows, n_cols: int):
-    """Row echelon form of the first ``n_cols`` columns by unimodular row
-    operations, on flat integer copies (a1, b1, a2, b2, ...) of the rows.
+def _echelon(E: list[list[int]], n_cols: int, disc: int):
+    """Row echelon form of the first ``n_cols`` columns of the flat rows E,
+    reduced in place by unimodular row operations.
 
-    Returns (E, pivots): flat row i of E leads in column pivots[i], and the
-    rows from len(pivots) on are zero in the first ``n_cols`` columns.
-    Further columns take part in every row operation but never hold a
-    pivot, so an identity appended there records the transform.  The pivot
-    is the entry of least (norm, a, b), then of least row index.
+    Returns (E, pivots): row i of E leads in column pivots[i], and the rows
+    from len(pivots) on are zero in the first ``n_cols`` columns.  Further
+    columns take part in every row operation but never hold a pivot, so an
+    identity appended there records the transform.  The pivot is the entry
+    of least (norm, a, b), then of least row index.
     """
-    E = [vector_to_ints(row) for row in rows]
     if not E or not n_cols:
         return E, []
-    m, disc = len(E), rows[0][0].disc
+    m = len(E)
     t, n0 = _OMEGA[disc]
     pivots = []
     for c in range(n_cols):
@@ -172,24 +175,41 @@ def _rank(rows) -> int:
     so the elimination runs on whichever orientation has fewer rows."""
     if rows and len(rows) > len(rows[0]):
         rows = _transpose(rows)
-    return len(_echelon(rows, len(rows[0]))[1]) if rows else 0
+    return len(_echelon(_flat(rows), len(rows[0]), rows[0][0].disc)[1]) if rows else 0
 
 
-def _right_kernel(rows, disc: int, n_cols: int) -> list[list[OrderElement]]:
-    """Saturated basis of {v : M v = 0}, as a list of column vectors.
+def _right_kernel(F: list[list[int]], disc: int, n_cols: int) -> list[list[int]]:
+    """Saturated flat basis of {v : M v = 0} for the flat rows F of M.
 
     Reduces [M^T | I]: each row whose M^T part reduces to zero carries a
     kernel vector in its identity part.
     """
-    m = len(rows)
-    aug = [[row[j] for row in rows] + e for j, e in enumerate(_identity(disc, n_cols))]
-    E, pivots = _echelon(aug, m)
-    return [ints_to_vector(disc, row[2 * m :]) for row in E[len(pivots) :]]
+    m = len(F)
+    cols = [[x for R in F for x in R[2 * j : 2 * j + 2]] for j in range(n_cols)]
+    E, pivots = _echelon([col + e for col, e in zip(cols, _identity(n_cols))], m, disc)
+    return [R[2 * m :] for R in E[len(pivots) :]]
 
 
 def _left_kernel(rows, disc: int) -> list[list[OrderElement]]:
     """Saturated basis of {u : u M = 0}, as a list of row vectors."""
-    return _right_kernel(_transpose(rows), disc, len(rows))
+    kernel = _right_kernel(_flat(_transpose(rows)), disc, len(rows))
+    return [ints_to_vector(disc, u) for u in kernel]
+
+
+def _hnf(E: list[list[int]], disc: int, n_cols: int) -> SubgroupMatrix:
+    """hnf of the matrix with the flat rows E, which it reduces in place."""
+    E, pivots = _echelon(E, n_cols, disc)
+    if len(pivots) != len(E):
+        raise RankError("matrix rows are dependent")
+    for i, c in enumerate(pivots):
+        a, b = 2 * c, 2 * c + 1
+        u = canonicalizing_unit(_element(disc, E[i][a], E[i][b]))
+        if not u == 1:
+            E[i] = vector_to_ints([u * e for e in ints_to_vector(disc, E[i])])
+        for R in E[:i]:
+            if R[a] or R[b]:
+                _reduce(R, E[i], a, disc, True)
+    return SubgroupMatrix(disc, n_cols, [ints_to_vector(disc, R) for R in E], check_rank=False)
 
 
 def hnf(M: SubgroupMatrix) -> SubgroupMatrix:
@@ -200,19 +220,7 @@ def hnf(M: SubgroupMatrix) -> SubgroupMatrix:
     entries above a pivot are minimal-(norm, a, b) residues, so the form is
     idempotent and identical for any two row bases of the same module.
     """
-    E, pivots = _echelon(M.rows, M.N)
-    if len(pivots) != M.r:
-        raise RankError("matrix rows are dependent")
-    for i, c in enumerate(pivots):
-        a, b = 2 * c, 2 * c + 1
-        u = canonicalizing_unit(OrderElement(M.disc, E[i][a], E[i][b]))
-        if not u == 1:
-            E[i] = vector_to_ints([u * e for e in ints_to_vector(M.disc, E[i])])
-        for R in E[:i]:
-            if R[a] or R[b]:
-                _reduce(R, E[i], a, M.disc, True)
-    rows = [ints_to_vector(M.disc, row) for row in E]
-    return SubgroupMatrix(M.disc, M.N, rows, check_rank=False)
+    return _hnf(_flat(M.rows), M.disc, M.N)
 
 
 def saturate(M: SubgroupMatrix) -> SubgroupMatrix:
@@ -221,12 +229,9 @@ def saturate(M: SubgroupMatrix) -> SubgroupMatrix:
     The result presents the connected component of ker(M) exactly: clearing
     the finite cokernel removes the extra torsion translates.
     """
-    if M.r == 0:
-        return M
     # rows u with u . v = 0 (no conjugation) for every kernel vector v
-    kernel = _right_kernel(M.rows, M.disc, M.N)
-    sat_rows = _right_kernel(kernel, M.disc, M.N)
-    return hnf(SubgroupMatrix(M.disc, M.N, sat_rows, check_rank=False))
+    kernel = _right_kernel(_flat(M.rows), M.disc, M.N)
+    return _hnf(_right_kernel(kernel, M.disc, M.N), M.disc, M.N)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +395,17 @@ def vector_to_ints(v: list[OrderElement]) -> list[int]:
 
 
 def ints_to_vector(disc: int, flat: list[int]) -> list[OrderElement]:
-    return [OrderElement(disc, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
+    return [_element(disc, flat[i], flat[i + 1]) for i in range(0, len(flat), 2)]
 
 
 def _z_basis(vectors, disc: int) -> list[list[int]]:
-    """Integer images of v and w*v for each order vector v: a Z-basis of
-    the O-span of the vectors when they are independent."""
-    w = OrderElement.omega(disc)
+    """Each flat order vector v and w*v, as w*(a + b*w) = -n0*b + (a + t*b)*w:
+    a Z-basis of the O-span of the vectors when they are independent."""
+    t, n0 = _OMEGA[disc]
     rows = []
     for v in vectors:
-        rows.append(vector_to_ints(v))
-        rows.append(vector_to_ints([w * e for e in v]))
+        rows.append(list(v))
+        rows.append([x for a, b in zip(v[::2], v[1::2]) for x in (-n0 * b, a + t * b)])
     return rows
 
 
@@ -461,16 +466,15 @@ def kernel_at_level(
 
 
 def kernel_lattice_at_level(M: SubgroupMatrix, level: int) -> tuple:
-    """Canonical integer form of {v in Z^{2N} : M v = 0 mod level}.
+    """Canonical integer form of {v in Z^{2N} : M v = 0 mod level}; as the
+    lattice contains level*Z^{2N}, hnf_int runs modulo the level.
 
     Equal forms mean equal level-``level`` kernels, with no enumeration.
     """
     n2 = 2 * M.N
-    gens = [[level * int(i == j) for j in range(n2)] for i in range(n2)]
     steps, V = _level_steps(M, level)
-    for i, s in enumerate(steps):  # level * Z^2N lies in the lattice
-        gens.append([V[k][i] * s % level for k in range(n2)])
-    return hnf_int(gens)
+    gens = [[V[k][i] * s for k in range(n2)] for i, s in enumerate(steps)]
+    return hnf_int(gens, modulus=level)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +494,8 @@ def sum_and_intersection(
     # the row stack may be dependent; saturate annihilates its kernel
     inter = saturate(SubgroupMatrix(disc, N, H.rows + K.rows, check_rank=False))
     dim_int = N - inter.r
-    kernels = _right_kernel(H.rows, disc, N) + _right_kernel(K.rows, disc, N)
-    sum_rows = _right_kernel(kernels, disc, N)
-    Msum = hnf(SubgroupMatrix(disc, N, sum_rows, check_rank=False))
+    kernels = [v for M in (H, K) for v in _right_kernel(_flat(M.rows), disc, N)]
+    Msum = _hnf(_right_kernel(kernels, disc, N), disc, N)
     dim_sum = N - Msum.r
     assert dim_sum + dim_int == H.dim + K.dim
     return dim_sum, dim_int, Msum, inter
@@ -517,7 +520,7 @@ def intersection_cardinality(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 
 def _joint_lattice_rows(H: SubgroupMatrix, K: SubgroupMatrix) -> list[list[int]]:
-    kernels = _right_kernel(H.rows, H.disc, H.N) + _right_kernel(K.rows, K.disc, K.N)
+    kernels = [v for M in (H, K) for v in _right_kernel(_flat(M.rows), H.disc, H.N)]
     return _z_basis(kernels, H.disc)
 
 def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
@@ -531,7 +534,7 @@ def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 def parametrization(M: SubgroupMatrix) -> list[list[OrderElement]]:
     """An N x m matrix whose columns parametrize the connected kernel of M."""
-    cols = _right_kernel(M.rows, M.disc, M.N)
+    cols = [ints_to_vector(M.disc, v) for v in _right_kernel(_flat(M.rows), M.disc, M.N)]
     return _transpose(cols) if cols else [[] for _ in range(M.N)]
 
 
@@ -542,9 +545,11 @@ def orthogonal_complement(M: SubgroupMatrix) -> SubgroupMatrix:
     Its presenting matrix is the conjugate transpose of a kernel basis of M,
     so dim + dim-perp = N always holds.
     """
-    kernel = _right_kernel(M.rows, M.disc, M.N)
-    rows = [[e.conjugate() for e in v] for v in kernel]
-    return hnf(SubgroupMatrix(M.disc, M.N, rows, check_rank=False))
+    t = _OMEGA[M.disc][0]
+    kernel = _right_kernel(_flat(M.rows), M.disc, M.N)
+    # conj(a + b*w) = (a + t*b) - b*w
+    rows = [[x for a, b in zip(v[::2], v[1::2]) for x in (a + t * b, -b)] for v in kernel]
+    return _hnf(rows, M.disc, M.N)
 
 
 def tangent_orthogonal(

@@ -62,6 +62,25 @@ def test_hnf_unimodular_invariance():
         assert hnf_int([list(r) for r in h]) == h
 
 
+def test_hnf_modulo_matches_appended_multiples():
+    # modulo D the form is that of the rows together with D times the identity
+    rng = random.Random(13)
+    for k in range(400):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        rows = random_matrix(rng, m, n, -40, 40)
+        if k % 3 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if k % 17 == 0:
+            rows = [[0] * n for _ in range(m)]
+        D = 1 if k % 11 == 0 else rng.choice([2, 3, 4, 6, 7, 12, 30, 97])
+        eye = [[D * int(i == j) for j in range(n)] for i in range(n)]
+        h = hnf_int(rows, modulus=D)
+        assert h == hnf_int(rows + eye)
+        assert len(h) == n and all(0 < h[i][i] <= D for i in range(n))
+    assert hnf_int([[5, 7], [2, 9]], modulus=1) == ((1, 0), (0, 1))
+    assert hnf_int([[0, 0, 0]], modulus=4) == ((4, 0, 0), (0, 4, 0), (0, 0, 4))
+
+
 def test_hnf_shape():
     h = hnf_int([[4, 2], [2, 4]])
     assert h == ((2, 4), (0, 6)) or h == ((2, -2), (0, 6))

@@ -14,8 +14,10 @@ from toran.subgroups import (
     SubgroupMatrix,
     TorsionPoint,
     _echelon,
+    _flat,
     _identity,
     _left_kernel,
+    _level_steps,
     _rank,
     _right_kernel,
     _transpose,
@@ -339,6 +341,62 @@ def test_kernel_lattice_counts_points():
                     assert kernel_count_at_level(M, level) * abs(det) == level ** (2 * n)
 
 
+def _kernel_lattice_reference(M, level):
+    """The level lattice as the Hermite form of level * I and the Smith
+    steps, with no modulus."""
+    n2 = 2 * M.N
+    gens = [[level * int(i == j) for j in range(n2)] for i in range(n2)]
+    steps, V = _level_steps(M, level)
+    for i, s in enumerate(steps):
+        gens.append([V[k][i] * s % level for k in range(n2)])
+    return hnf_int(gens)
+
+
+def test_kernel_lattice_matches_unreduced_reference():
+    rng = random.Random(41)
+    for disc in DISCS:
+        for n in range(1, 6):
+            for r in range(n + 1):
+                M = random_matrix(rng, disc, n, r) if r else SubgroupMatrix(disc, n, [], check_rank=False)
+                if r and rng.random() < 0.5:  # an imprimitive row adds torsion
+                    rows = [list(row) for row in M.rows]
+                    rows[0] = [OrderElement(disc, rng.choice([2, 3]), rng.randint(0, 2)) * e for e in rows[0]]
+                    M = SubgroupMatrix(disc, n, rows)
+                for level in (1, 2, 3, 4, 6, 7, 12, 30):
+                    assert kernel_lattice_at_level(M, level) == _kernel_lattice_reference(M, level)
+
+
+def test_sum_and_intersection_dims_match_integer_model():
+    # the stacked integer model has rank 2*rho for rho = rank of the stack
+    rng = random.Random(67)
+    for k in range(100):
+        disc = DISCS[k % 5]
+        n = rng.randint(1, 4)
+        H = random_matrix(rng, disc, n, rng.randint(0, n)) if k % 7 else SubgroupMatrix(disc, n, [], check_rank=False)
+        K = random_matrix(rng, disc, n, rng.randint(0, n))
+        if k % 4 == 0 and H.r:  # share a row, so the stack is dependent
+            K = SubgroupMatrix(disc, n, [H.rows[0]] + list(K.rows[1:]))
+        rho = rank_int(integer_model(H.rows + K.rows, disc, n)) // 2
+        dim_sum, dim_int, Msum, Mint = sum_and_intersection(H, K)
+        assert dim_int == n - rho == n - Mint.r
+        assert dim_sum == n - (H.r + K.r - rho) == n - Msum.r
+
+
+def test_right_kernel_matches_integer_kernel():
+    # V's columns past the rank span {x : A x = 0} for the integer model A,
+    # which is closed under w; the order kernel must give the same lattice
+    rng = random.Random(71)
+    for k in range(150):
+        disc = DISCS[k % 5]
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = random_rows(rng, disc, m, n, rng.randint(0, min(m, n)))
+        d, V = snf_int(integer_model(rows, disc, n))
+        rank = sum(1 for x in d if x)
+        integer_kernel = [[V[i][j] for i in range(2 * n)] for j in range(rank, 2 * n)]
+        kernel = _right_kernel(_flat(rows), disc, n)
+        assert hnf_int(_z_basis(kernel, disc)) == hnf_int(integer_kernel)
+
+
 def test_sum_and_intersection_with_empty_and_full_rank():
     rng = random.Random(47)
     for disc in DISCS:
@@ -380,12 +438,13 @@ def test_echelon_matches_integer_model():
         rank = _rank(rows)
         assert 2 * rank == rank_int(integer_model(rows, disc, n))
         # the loop finds the same rank on either orientation
-        assert len(_echelon(rows, n)[1]) == len(_echelon(_transpose(rows), m)[1]) == rank
-        kernel = _right_kernel(rows, disc, n)
+        by_rows = _echelon(_flat(rows), n, disc)[1]
+        assert len(by_rows) == len(_echelon(_flat(_transpose(rows)), m, disc)[1]) == rank
+        kernel = _right_kernel(_flat(rows), disc, n)
         assert len(kernel) == n - rank
         assert len(_left_kernel(rows, disc)) == m - rank
         for v in kernel:
-            assert all(_dot(disc, row, v).is_zero() for row in rows)
+            assert all(_dot(disc, row, ints_to_vector(disc, v)).is_zero() for row in rows)
         if kernel:
             d, _ = snf_int(_z_basis(kernel, disc))
             assert d == [1] * (2 * len(kernel))
@@ -396,12 +455,12 @@ def test_echelon_edge_cases():
         return OrderElement(-7, a, b)
 
     # no rows, and rows with no columns (an r x 0 matrix)
-    assert _echelon([], 3) == ([], [])
-    assert _echelon([[], []], 0) == ([[], []], [])
+    assert _echelon([], 3, -7) == ([], [])
+    assert _echelon([[], []], 0, -7) == ([[], []], [])
     assert _rank([]) == 0 and _rank([[], [], []]) == 0
     # an all-zero first column: the pivots start in the second column
     rows = [[e(0), e(2, 1), e(3)], [e(0), e(1, -1), e(0, 2)]]
-    E, pivots = _echelon(rows, 3)
+    E, pivots = _echelon(_flat(rows), 3, -7)
     assert pivots == [1, 2]
     assert [row[:2] for row in E] == [[0, 0], [0, 0]]
     assert ints_to_vector(-7, E[1])[1].is_zero()
@@ -415,9 +474,9 @@ def test_echelon_records_the_transform():
         disc = DISCS[k % 5]
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         rows = random_rows(rng, disc, m, n, rng.randint(0, min(m, n)))
-        cols = _transpose(rows)
-        aug = [col + ident for col, ident in zip(cols, _identity(disc, n))]
-        E, pivots = _echelon(aug, m)
+        cols = _flat(_transpose(rows))
+        aug = [col + ident for col, ident in zip(cols, _identity(n))]
+        E, pivots = _echelon(aug, m, disc)
         U = [ints_to_vector(disc, flat)[m:] for flat in E]
         # the norm of det U is the determinant of its integer model
         assert det_int(integer_model(U, disc, n)) == 1
