@@ -18,7 +18,7 @@ from itertools import combinations, product
 from operator import add
 
 from .bounds import _jordan_totient
-from .intlattice import rank_int, snf_int
+from .intlattice import hnf_int, rank_int
 from .mordell_weil import PointInEN
 from .orders import (
     EUCLIDEAN_DISCS,
@@ -215,13 +215,16 @@ def _labels(disc: int, n_ambient: int, r: int, x_budget: int, model):
 def _saturated_labels(disc, n_ambient, r, x_budget, model, budget, examined=0):
     """The _labels whose integer model has every Smith invariant 1, that
     is the saturated ones, as matrices, with the running count of labels
-    examined; past ``budget`` labels it raises BudgetExceededError."""
+    examined; past ``budget`` labels it raises BudgetExceededError.  They
+    are all 1 exactly when the 2r x 2N model's columns span Z^{2r}: the
+    Hermite form of its transpose is the identity, with no Smith transform."""
     out = []
+    identity = tuple(tuple(int(i == j) for j in range(2 * r)) for i in range(2 * r))
     for rows in _labels(disc, n_ambient, r, x_budget, model):
         examined += 1
         if examined > budget:
             raise BudgetExceededError(f"examined more than {budget} candidate matrices")
-        if all(d == 1 for d in snf_int(integer_model(rows, disc, n_ambient))[0]):
+        if hnf_int(list(zip(*integer_model(rows, disc, n_ambient)))) == identity:
             out.append(SubgroupMatrix(disc, n_ambient, rows, check_rank=False))
     return out, examined
 

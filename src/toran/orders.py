@@ -83,7 +83,7 @@ class OrderElement(_Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return OrderElement(self.disc, self.a + other.a, self.b + other.b)
+        return _element(self.disc, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
@@ -91,7 +91,7 @@ class OrderElement(_Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return OrderElement(self.disc, self.a - other.a, self.b - other.b)
+        return _element(self.disc, self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other) -> OrderElement:
         other = self._coerce(other)
@@ -103,14 +103,12 @@ class OrderElement(_Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t, n0 = _OMEGA[self.disc]
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return OrderElement(self.disc, a * c - n0 * b * d, a * d + b * c + t * b * d)
+        return _element(self.disc, *_product(self.disc, self.a, self.b, other.a, other.b))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> OrderElement:
-        return OrderElement(self.disc, -self.a, -self.b)
+        return _element(self.disc, -self.a, -self.b)
 
     def __pow__(self, n: int) -> OrderElement:
         if n < 0:
@@ -138,7 +136,7 @@ class OrderElement(_Frozen):
         return self.a != 0 or self.b != 0
 
     def conjugate(self) -> OrderElement:
-        return OrderElement(self.disc, self.a + _OMEGA[self.disc][0] * self.b, -self.b)
+        return _element(self.disc, self.a + _OMEGA[self.disc][0] * self.b, -self.b)
 
     def norm(self) -> int:
         """The field norm, a non-negative rational integer."""
@@ -165,12 +163,18 @@ _SET_DISC, _SET_A, _SET_B = (OrderElement.__dict__[k].__set__ for k in OrderElem
 
 
 def _element(disc: int, a: int, b: int) -> OrderElement:
-    """a + b*w from ints the library computed, skipping the public checks."""
+    """a + b*w, unchecked, from checked operands; outside values go through OrderElement(...)."""
     e = object.__new__(OrderElement)
     _SET_DISC(e, disc)
     _SET_A(e, a)
     _SET_B(e, b)
     return e
+
+
+def _product(disc: int, a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a + b*w) * (c + d*w) as a pair, from w^2 = t*w - n0."""
+    t, n0 = _OMEGA[disc]
+    return a * c - n0 * b * d, a * d + b * c + t * b * d
 
 
 def _integral(v) -> int:
@@ -201,8 +205,18 @@ def _as_element(disc: int, e) -> OrderElement:
 
 
 def _dot(disc: int, xs: Iterable[OrderElement], ys: Iterable[OrderElement]) -> OrderElement:
-    """sum x_i * y_i over the order, accumulated left to right from zero."""
-    return sum((x * y for x, y in zip(xs, ys)), OrderElement.zero(disc))
+    """sum x_i * y_i over the order, accumulated left to right from zero: on
+    ints while both are elements over disc, through the operators from the
+    first other pair on (an int, or a foreign element, which raises there)."""
+    _check_disc(disc)
+    a = b = 0
+    pairs = zip(xs, ys)
+    for x, y in pairs:
+        if not (type(x) is type(y) is OrderElement and x.disc == y.disc == disc):
+            return sum((x * y for x, y in pairs), _element(disc, a, b) + x * y)
+        p, q = _product(disc, x.a, x.b, y.a, y.b)
+        a, b = a + p, b + q
+    return _element(disc, a, b)
 
 
 def _elements_norm_le(disc: int, cap: int) -> list[OrderElement]:
@@ -240,9 +254,9 @@ def canonicalizing_unit(x: OrderElement) -> OrderElement:
     # (a, b) > (0, 0) exactly when a > 0, or a = 0 and b > 0
     best_key, best_u = (0, 0), units(x.disc)[0]
     for u in units(x.disc):
-        y = u * x
-        if (y.a, y.b) > best_key:
-            best_key, best_u = (y.a, y.b), u
+        key = _product(x.disc, u.a, u.b, x.a, x.b)
+        if key > best_key:
+            best_key, best_u = key, u
     return best_u
 
 
@@ -304,7 +318,7 @@ def euclid_div(x: OrderElement, y: OrderElement) -> tuple[OrderElement, OrderEle
         raise ZeroDivisionError("euclidean division by zero")
     if x.disc != y.disc:
         raise DiscMismatchError(f"discriminants differ: {x.disc} vs {y.disc}")
-    q = OrderElement(x.disc, *_nearest(x.disc, x.a, x.b, y.a, y.b, False))
+    q = _element(x.disc, *_nearest(x.disc, x.a, x.b, y.a, y.b, False))
     r = x - q * y
     assert r.norm() < y.norm()
     return q, r
@@ -320,7 +334,7 @@ def canonical_residue(x: OrderElement, mod: OrderElement) -> OrderElement:
         raise DiscMismatchError(f"discriminants differ: {x.disc} vs {mod.disc}")
     if mod.is_zero():
         return x
-    q = OrderElement(x.disc, *_nearest(x.disc, x.a, x.b, mod.a, mod.b, True))
+    q = _element(x.disc, *_nearest(x.disc, x.a, x.b, mod.a, mod.b, True))
     return x - q * mod
 
 
@@ -396,9 +410,8 @@ class QuadRat(_Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        t, n0 = _OMEGA[self.disc]
-        a, b, c, e = self.p, self.q, other.p, other.q
-        return _quad(self.disc, a * c - n0 * b * e, a * e + b * c + t * b * e, self.d * other.d)
+        p, q = _product(self.disc, self.p, self.q, other.p, other.q)
+        return _quad(self.disc, p, q, self.d * other.d)
 
     __rmul__ = __mul__
 

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from math import lcm as int_lcm
 
 from .mordell_weil import ModulePoint, PointInEN, minimal_coset
-from .orders import OrderElement, QuadRat, _Frozen, _as_element, _dot
+from .orders import OrderElement, QuadRat, _Frozen, _as_element, _dot, _element
 from .subgroups import (
     SubgroupMatrix,
     TorsionPoint,
+    _check_same,
     _hnf,
     _identity,
     _left_kernel,
-    apply_matrix,
     hnf,
     is_anomalous,
 )
@@ -50,15 +50,22 @@ class TorsionCoset:
         return self.subgroup.r
 
     def contains(self, x: PointInEN) -> bool:
-        """Exact membership: free parts are killed by M and torsion parts
-        match the translate under M."""
-        M = self.subgroup
+        """Exact membership: free parts are killed by M, and the torsion part
+        beta/R of x matches the translate zeta/l under M, that is
+        M*((L/R)*beta - (L/l)*zeta) vanishes modulo L = lcm(R, l)."""
+        M, zeta = self.subgroup, self.zeta
         if x.N != M.N:
             return False
         for column in zip(*x.coefficient_rows()):
-            if any(not e.is_zero() for e in M.evaluate(column)):
+            if any(M.evaluate(column)):
                 return False
-        return apply_matrix(M, x.torsion_point()) == apply_matrix(M, self.zeta)
+        _check_same(M.disc, M.N, x.spec.disc, x.N)
+        _check_same(M.disc, M.N, zeta.disc, zeta.N)
+        L = int_lcm(x.spec.torsion_order, zeta.level)
+        k, m = L // x.spec.torsion_order, L // zeta.level
+        diff = [_element(M.disc, k * c.torsion.a - m * z.a, k * c.torsion.b - m * z.b)
+                for c, z in zip(x.coords, zeta.coords)]
+        return not any(e.a % L or e.b % L for e in M.evaluate(diff))
 
 
 class GammaPoint(_Frozen):
@@ -123,7 +130,7 @@ def gamma_to_torsion_variety(gp: GammaPoint) -> TorsionCoset:
             acc = acc - z[j] * row[j]
         z[c] = acc / row[c]
     level = int_lcm(1, *(c.d for c in z))
-    coords = [OrderElement(disc, c.p * (level // c.d), c.q * (level // c.d)) for c in z]
+    coords = [_element(disc, c.p * (level // c.d), c.q * (level // c.d)) for c in z]
     zeta = TorsionPoint(disc, level, coords)
     M = SubgroupMatrix(disc, N, [row[:N] for row in H], check_rank=False)
     coset = TorsionCoset(M, zeta)

@@ -23,6 +23,7 @@ from .orders import (
     _dot,
     _element,
     _nearest,
+    _product,
     canonicalizing_unit,
 )
 
@@ -205,7 +206,8 @@ def _hnf(E: list[list[int]], disc: int, n_cols: int) -> SubgroupMatrix:
         a, b = 2 * c, 2 * c + 1
         u = canonicalizing_unit(_element(disc, E[i][a], E[i][b]))
         if not u == 1:
-            E[i] = vector_to_ints([u * e for e in ints_to_vector(disc, E[i])])
+            R = E[i]
+            E[i] = [x for p, q in zip(R[::2], R[1::2]) for x in _product(disc, u.a, u.b, p, q)]
         for R in E[:i]:
             if R[a] or R[b]:
                 _reduce(R, E[i], a, disc, True)
@@ -302,7 +304,7 @@ class TorsionPoint(_Frozen):
                 raise TypeError("coords must be OrderElement")
             if c.disc != disc:
                 raise DiscMismatchError(f"coordinate discriminant {c.disc} != {disc}")
-            reduced.append(OrderElement(disc, c.a % level, c.b % level))
+            reduced.append(_element(disc, c.a % level, c.b % level))
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "N", len(reduced))
         object.__setattr__(self, "level", level)
@@ -329,7 +331,7 @@ class TorsionPoint(_Frozen):
         """The same point written over its exact order."""
         o = self.order()
         k = self.level // o
-        coords = [OrderElement(self.disc, c.a // k, c.b // k) for c in self.coords]
+        coords = [_element(self.disc, c.a // k, c.b // k) for c in self.coords]
         return TorsionPoint(self.disc, o, coords)
 
     def __add__(self, other: TorsionPoint) -> TorsionPoint:

@@ -15,6 +15,7 @@ from toran.orders import (
     DiscMismatchError,
     OrderElement,
     QuadRat,
+    _dot,
     _elements_norm_le,
     canonical_associate,
     canonical_residue,
@@ -569,3 +570,57 @@ def test_value_types_are_immutable(name):
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         obj.extra = 1
     assert not hasattr(obj, "extra")
+
+
+def _reference_dot(disc, xs, ys):
+    # the element-by-element route _dot replaced: one product and one
+    # partial sum per term, through the operators
+    return sum((x * y for x, y in zip(xs, ys)), OrderElement.zero(disc))
+
+
+def _dot_outcome(dot, disc, xs, ys):
+    try:
+        return dot(disc, xs, ys)
+    except DiscMismatchError as exc:
+        return f"DiscMismatchError: {exc}"
+
+
+@pytest.mark.parametrize("disc", DISCS)
+def test_dot_matches_elementwise_sum(disc):
+    """_dot on generators, empty and int-bearing vectors and a foreign element
+    against the route that builds an element per product and partial sum."""
+    rng = random.Random(f"dot/{disc}")
+    foreign = [d for d in DISCS if d != disc]
+
+    def entry(kind):
+        if kind == "int":
+            return rng.randint(-40, 40)
+        d = rng.choice(foreign) if kind == "foreign" else disc
+        return OrderElement(d, rng.randint(-40, 40), rng.randint(-40, 40))
+
+    seen_errors = 0
+    for n in range(8):
+        for _ in range(25):
+            kinds = rng.choice(
+                [("element",), ("element", "int"), ("element", "element", "foreign")]
+            )
+            xs = [entry(rng.choice(kinds)) for _ in range(n)]
+            ys = [entry(rng.choice(kinds)) for _ in range(n)]
+            want = _dot_outcome(_reference_dot, disc, xs, ys)
+            got = _dot_outcome(_dot, disc, (x for x in xs), iter(ys))
+            assert got == want
+            assert type(got) is type(want)
+            assert got == _dot_outcome(_dot, disc, xs, ys)
+            seen_errors += isinstance(want, str)
+    assert seen_errors > 20
+    assert _dot(disc, [], []) == OrderElement.zero(disc)
+    assert _dot(disc, (e for e in ()), iter(())) == OrderElement.zero(disc)
+
+
+@pytest.mark.parametrize("disc", DISCS)
+def test_canonicalizing_unit_matches_largest_unit_multiple(disc):
+    """Every element of norm <= 60: the unit is the one whose multiple has
+    the largest (a, b), the first unit (1) for zero."""
+    for x in _elements_norm_le(disc, 60):
+        want = max(units(disc), key=lambda u: ((u * x).a, (u * x).b))
+        assert canonicalizing_unit(x) == want

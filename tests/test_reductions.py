@@ -6,7 +6,7 @@ import random
 import pytest
 
 from toran.mordell_weil import ModuleSpec, PointInEN, minimal_coset
-from toran.orders import EUCLIDEAN_DISCS, OrderElement
+from toran.orders import EUCLIDEAN_DISCS, DiscMismatchError, OrderElement
 from toran.reductions import (
     GammaPoint,
     TorsionCoset,
@@ -16,7 +16,7 @@ from toran.reductions import (
     transverse_lift,
 )
 from toran.serialize import dumps_canonical, matrix_to_json_dict, torsion_point_to_json_dict
-from toran.subgroups import SubgroupMatrix, TorsionPoint, _rank
+from toran.subgroups import SubgroupMatrix, TorsionPoint, _rank, apply_matrix
 
 DISCS = list(EUCLIDEAN_DISCS)
 
@@ -189,6 +189,69 @@ def test_coset_contains_negative():
     assert not coset.contains(PointInEN.from_rows(spec, [[1]]))
     with pytest.raises(ValueError):
         TorsionCoset(M, TorsionPoint.zero(-4, 3))
+
+
+def _reference_contains(coset, x):
+    # the route contains replaced: both torsion parts mapped through M as
+    # TorsionPoints and compared at their exact orders
+    M = coset.subgroup
+    if x.N != M.N:
+        return False
+    for column in zip(*x.coefficient_rows()):
+        if any(not e.is_zero() for e in M.evaluate(column)):
+            return False
+    return apply_matrix(M, x.torsion_point()) == apply_matrix(M, coset.zeta)
+
+
+def _contains_outcome(contains, coset, x):
+    try:
+        return contains(coset, x)
+    except DiscMismatchError as exc:
+        return f"DiscMismatchError: {exc}"
+
+
+@pytest.mark.parametrize("disc", DISCS)
+def test_coset_contains_matches_torsion_point_route(disc):
+    """Members, translates shifted in their torsion part, r = 0 matrices and
+    points or translates over another discriminant, against the
+    apply_matrix comparison."""
+    rng = random.Random(f"contains/{disc}")
+    other = rng.choice([d for d in DISCS if d != disc])
+    outcomes = []
+    for _ in range(120):
+        n, rank = rng.randint(1, 4), rng.randint(0, 2)
+        gram = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        spec = ModuleSpec(disc, rank, gram, torsion_order=rng.choice([1, 2, 3, 4, 6]))
+        x = random_point(rng, spec, n)
+        M, zeta, _ = minimal_coset(x)
+        kind = rng.choice(["member", "shifted", "empty", "full", "foreign point", "foreign zeta"])
+        if kind == "member" and not x.is_torsion():
+            coset = gamma_to_torsion_variety(GammaPoint(x))
+            M, zeta = coset.subgroup, coset.zeta
+        elif kind == "shifted":
+            level = rng.choice([1, 2, 3, 4, 5, 6, 12])
+            shift = [
+                OrderElement(disc, rng.randrange(level), rng.randrange(level)) for _ in range(n)
+            ]
+            zeta = zeta + TorsionPoint(disc, level, shift)
+        elif kind == "empty":
+            M = SubgroupMatrix(disc, n, [])
+        elif kind == "full":
+            M = SubgroupMatrix.from_ints(disc, [[int(i == j) for j in range(n)] for i in range(n)])
+            zeta = TorsionPoint(disc, rng.randint(1, 6), [OrderElement(disc, 1, 0)] * n)
+        elif kind == "foreign point":
+            ospec = ModuleSpec(other, rank, gram, torsion_order=spec.torsion_order)
+            x = random_point(rng, ospec, n)
+        elif kind == "foreign zeta":
+            coords = [OrderElement(other, c.a, c.b) for c in zeta.coords]
+            zeta = TorsionPoint(other, zeta.level, coords)
+        coset = TorsionCoset(M, zeta)
+        for y in (x, random_point(rng, x.spec, n), random_point(rng, x.spec, n + 1)):
+            want = _contains_outcome(_reference_contains, coset, y)
+            assert _contains_outcome(TorsionCoset.contains, coset, y) == want
+            outcomes.append(want)
+    assert {True, False} <= set(outcomes)
+    assert any(isinstance(o, str) for o in outcomes)
 
 
 def test_variety_params():
