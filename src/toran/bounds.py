@@ -23,7 +23,9 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, isqrt, lcm
+
+from .subgroups import BudgetExceededError
 
 Frac = Fraction
 
@@ -200,20 +202,100 @@ def height_exponent_max(n: int) -> tuple[Fraction, int]:
     return best
 
 
+# trial division runs over the primes below _TRIAL; Miller-Rabin on the first
+# 13 prime bases is exact below _MR_EXACT (Sorenson & Webster 2015)
+_TRIAL = 100
+_PRIMES = tuple(p for p in range(2, _TRIAL) if all(p % q for q in range(2, isqrt(p) + 1)))
+_MR_BASES = _PRIMES[:13]
+_MR_EXACT = 3_317_044_064_679_887_385_961_981
+_RHO_STEPS = 1 << 24
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for n with no prime factor below _TRIAL.  A base that
+    shows n composite settles it; otherwise n is prime below _MR_EXACT and
+    unsettled above it, which raises BudgetExceededError."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT:
+        raise BudgetExceededError(
+            f"cannot prove {n} prime: Miller-Rabin on 13 bases is exact below {_MR_EXACT}"
+        )
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite n by Pollard-Brent rho (Brent 1980),
+    within _RHO_STEPS iterations of y -> y^2 + c over the choices of c."""
+    steps, c = 0, 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_STEPS:
+                raise BudgetExceededError(f"no factor of {n} within {_RHO_STEPS} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys, batch = y, min(128, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += batch
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def _prime_divisors(n: int) -> set[int]:
+    """The primes dividing n >= 1: trial division below _TRIAL, then
+    Pollard-Brent rho on the cofactor, each part checked by exact division."""
+    out = set()
+    for p in _PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    # from here on no part has a prime factor below _TRIAL
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if m < _TRIAL * _TRIAL or _is_prime(m):
+            out.add(m)
+            continue
+        d = _rho_factor(m)
+        assert 1 < d < m and m % d == 0
+        parts += [d, m // d]
+    return out
+
+
 def _jordan_totient(n: int, k: int) -> int:
     """Jordan's totient J_k(n) = n^k * prod over primes p | n of (1 - p^-k):
     the k-tuples mod n of exact order n, so J_1 is Euler's phi."""
     out = n**k
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p**k
-        p += 1
-    if m > 1:
-        out -= out // m**k
+    for p in _prime_divisors(n):
+        out -= out // p**k
     return out
 
 

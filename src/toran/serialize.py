@@ -3,15 +3,16 @@
 Matrix text files carry a "disc N r" header line followed by r rows of
 space-separated elements in a+b*w form.  Torsion points read
 "level: n; coords: [c1, c2, ...]".  JSON counterparts spell every exact
-rational as a string so round-trips are lossless; emitted JSON is sorted
-and newline-terminated, hence byte-reproducible.
+rational as a string so round-trips are lossless.  ``dumps_canonical`` writes
+all JSON, from str-keyed dicts, lists, tuples, str, int, bool and None only,
+byte for byte as ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .mordell_weil import ModuleSpec, PointInEN
 from .orders import QuadRat, format_element, parse_element
@@ -200,4 +201,36 @@ def point_from_json_dict(spec: ModuleSpec, obj: dict) -> PointInEN:
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte, in
+    one pass.  Accepts str-keyed dicts, lists, tuples, str, int, bool and
+    None; any other type, a float or a Fraction included, raises TypeError."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out) + "\n"
+
+
+_NAMED = {None: "null", True: "true", False: "false"}
+_ATOMS = {str: _quote, int: int.__repr__, bool: _NAMED.get, type(None): _NAMED.get}
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    # nl is a newline and the indent of obj's own line
+    t = type(obj)
+    if t in _ATOMS:
+        return out.append(_ATOMS[t](obj))
+    if t is not dict and t is not list and t is not tuple:
+        raise TypeError(f"{t.__name__} is not canonical JSON")
+    if not obj:
+        return out.append("{}" if t is dict else "[]")
+    inner = nl + "  "
+    kinds = set(map(type, obj))
+    atom = _ATOMS.get(kinds.pop()) if len(kinds) == 1 and t is not dict else None
+    if atom:  # a list of one scalar type is one join
+        return out.append(f"[{inner}{(',' + inner).join(map(atom, obj))}{nl}]")
+    for i, x in enumerate(sorted(obj) if t is dict else obj):
+        out.append(("," if i else "{" if t is dict else "[") + inner)
+        if t is dict:  # _quote raises TypeError on a key that is not a str
+            out.append(_quote(x) + ": ")
+            x = obj[x]
+        _write(x, inner, out)
+    out.append(nl + ("}" if t is dict else "]"))

@@ -23,9 +23,8 @@ from .orders import (
 )
 from .subgroups import (
     SubgroupMatrix,
-    _flat,
+    _kernel_basis,
     _rank,
-    _right_kernel,
     _row_norm_product,
     _z_basis,
     ints_to_vector,
@@ -159,8 +158,7 @@ def small_solution(
             f"count must lie in [1, {system.n - system.m}], got {count}"
         )
     disc = system.disc
-    kernel = _right_kernel(_flat(system.rows), disc, system.n)
-    reduced = _lll(disc, _z_basis(kernel, disc))
+    reduced = _lll(disc, _z_basis(_kernel_basis(system), disc))
     ordered = sorted(reduced, key=lambda f: (_max_coord_norm(disc, f), f))
     chosen: list[list[OrderElement]] = []
     for flat in ordered:
@@ -247,5 +245,6 @@ def complete_to_square(
     bottom = [[e.conjugate() for e in v] for v in vectors]
     full = SubgroupMatrix(M.disc, M.N, [list(r) for r in M.rows] + bottom)
     bottom_matrix = SubgroupMatrix(M.disc, M.N, bottom, check_rank=False)
-    assert saturate(bottom_matrix) == orthogonal_complement(M)
+    # system has M's rows and already holds their kernel
+    assert saturate(bottom_matrix) == orthogonal_complement(system)
     return full, cert

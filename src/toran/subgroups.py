@@ -11,6 +11,7 @@ operations with canonical-associate pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product as iproduct
 from math import comb, gcd as int_gcd, lcm as int_lcm, prod
 
 from .intlattice import det_int, hnf_int, snf_int
@@ -47,8 +48,9 @@ class SubgroupMatrix(_Frozen):
     """An r x N full-row-rank matrix over the order of discriminant ``disc``;
     one built with ``check_rank=False`` may hold a dependent stack of rows."""
 
-    # _smith: (d, V) of the integer model's Smith form, set on first use
-    __slots__ = ("disc", "N", "r", "rows", "_smith")
+    # set on first use: _smith, (d, V) of the integer model's Smith form, and
+    # _kernel, the flat saturated right kernel that _kernel_basis reads
+    __slots__ = ("disc", "N", "r", "rows", "_smith", "_kernel")
 
     def __init__(self, disc: int, n_ambient: int, rows, check_rank: bool = True):
         if n_ambient < 1:
@@ -191,6 +193,14 @@ def _right_kernel(F: list[list[int]], disc: int, n_cols: int) -> list[list[int]]
     return [R[2 * m :] for R in E[len(pivots) :]]
 
 
+def _kernel_basis(M: SubgroupMatrix) -> tuple:
+    """The flat saturated right kernel of M, computed once per matrix."""
+    if getattr(M, "_kernel", None) is None:
+        kernel = _right_kernel(_flat(M.rows), M.disc, M.N)
+        object.__setattr__(M, "_kernel", tuple(map(tuple, kernel)))
+    return M._kernel
+
+
 def _left_kernel(rows, disc: int) -> list[list[OrderElement]]:
     """Saturated basis of {u : u M = 0}, as a list of row vectors."""
     kernel = _right_kernel(_flat(_transpose(rows)), disc, len(rows))
@@ -232,8 +242,7 @@ def saturate(M: SubgroupMatrix) -> SubgroupMatrix:
     the finite cokernel removes the extra torsion translates.
     """
     # rows u with u . v = 0 (no conjugation) for every kernel vector v
-    kernel = _right_kernel(_flat(M.rows), M.disc, M.N)
-    return _hnf(_right_kernel(kernel, M.disc, M.N), M.disc, M.N)
+    return _hnf(_right_kernel(_kernel_basis(M), M.disc, M.N), M.disc, M.N)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +278,6 @@ def _row_norm_product(rows) -> int:
 
 
 def degree_surrogate(M: SubgroupMatrix) -> DegreeSurrogate:
-    from itertools import combinations
-
     if M.r == 0:
         return DegreeSurrogate(1, 1, M.N, 0)
     # the norm of a determinant over O is the determinant of its integer model
@@ -456,8 +463,6 @@ def kernel_at_level(
         )
     n2 = 2 * M.N
     out = []
-    from itertools import product as iproduct
-
     for u in iproduct(*(range(0, level, s) for s in steps)):
         v = [sum(V[i][j] * u[j] for j in range(n2)) % level for i in range(n2)]
         out.append(TorsionPoint(M.disc, level, ints_to_vector(M.disc, v)))
@@ -488,15 +493,19 @@ def sum_and_intersection(
 ) -> tuple[int, int, SubgroupMatrix, SubgroupMatrix]:
     """Dimensions and presenting matrices of H + K and the connected H ∩ K.
 
-    The intersection matrix is the saturated row stack; the sum matrix is a
-    saturated basis of the intersection of the two row spaces.
+    The intersection matrix annihilates ker(H) ∩ ker(K), found inside
+    ker(K); the sum matrix annihilates both kernels.  Both are saturated.
     """
     _check_same(H.disc, H.N, K.disc, K.N)
     disc, N = H.disc, H.N
-    # the row stack may be dependent; saturate annihilates its kernel
-    inter = saturate(SubgroupMatrix(disc, N, H.rows + K.rows, check_rank=False))
+    # ker(H) ∩ ker(K) is {sum c_j k_j : (H k) c = 0} for the basis k of ker(K)
+    k = [ints_to_vector(disc, v) for v in _kernel_basis(K)]
+    Hk = _flat(_transpose([H.evaluate(v) for v in k]))
+    cs = [ints_to_vector(disc, c) for c in _right_kernel(Hk, disc, len(k))]
+    both = [vector_to_ints([_dot(disc, row, c) for row in _transpose(k)]) for c in cs]
+    inter = _hnf(_right_kernel(both, disc, N), disc, N)
     dim_int = N - inter.r
-    kernels = [v for M in (H, K) for v in _right_kernel(_flat(M.rows), disc, N)]
+    kernels = _kernel_basis(H) + _kernel_basis(K)
     Msum = _hnf(_right_kernel(kernels, disc, N), disc, N)
     dim_sum = N - Msum.r
     assert dim_sum + dim_int == H.dim + K.dim
@@ -522,8 +531,7 @@ def intersection_cardinality(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 
 def _joint_lattice_rows(H: SubgroupMatrix, K: SubgroupMatrix) -> list[list[int]]:
-    kernels = [v for M in (H, K) for v in _right_kernel(_flat(M.rows), H.disc, H.N)]
-    return _z_basis(kernels, H.disc)
+    return _z_basis(_kernel_basis(H) + _kernel_basis(K), H.disc)
 
 def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
     """The least level annihilating every point of H ∩ K (complementary case)."""
@@ -536,7 +544,7 @@ def intersection_exponent(H: SubgroupMatrix, K: SubgroupMatrix) -> int:
 
 def parametrization(M: SubgroupMatrix) -> list[list[OrderElement]]:
     """An N x m matrix whose columns parametrize the connected kernel of M."""
-    cols = [ints_to_vector(M.disc, v) for v in _right_kernel(_flat(M.rows), M.disc, M.N)]
+    cols = [ints_to_vector(M.disc, v) for v in _kernel_basis(M)]
     return _transpose(cols) if cols else [[] for _ in range(M.N)]
 
 
@@ -548,7 +556,7 @@ def orthogonal_complement(M: SubgroupMatrix) -> SubgroupMatrix:
     so dim + dim-perp = N always holds.
     """
     t = _OMEGA[M.disc][0]
-    kernel = _right_kernel(_flat(M.rows), M.disc, M.N)
+    kernel = _kernel_basis(M)
     # conj(a + b*w) = (a + t*b) - b*w
     rows = [[x for a, b in zip(v[::2], v[1::2]) for x in (a + t * b, -b)] for v in kernel]
     return _hnf(rows, M.disc, M.N)

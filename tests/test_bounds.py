@@ -7,6 +7,8 @@ import pytest
 
 from toran.bounds import (
     BoundRangeError,
+    _jordan_totient,
+    _prime_divisors,
     catalog_ids,
     curva_b1,
     curva_b2,
@@ -21,6 +23,7 @@ from toran.bounds import (
     teoremone_i_exponents,
 )
 from toran.serialize import dumps_canonical
+from toran.subgroups import BudgetExceededError
 
 F = Fraction
 
@@ -71,6 +74,49 @@ def test_euler_phi():
     assert euler_phi(360) == 96
     with pytest.raises(ValueError):
         euler_phi(0)
+
+
+def _jordan_totient_reference(n, k):
+    """J_k(n) by trial division by every integer up to the square root."""
+    out, p, m = n**k, 2, n
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p**k
+        p += 1
+    if m > 1:
+        out -= out // m**k
+    return out
+
+
+def test_jordan_totient_matches_trial_division():
+    for n in range(1, 20_001):
+        for k in (1, 2, 4, 6):
+            assert _jordan_totient(n, k) == _jordan_totient_reference(n, k)
+    # prime powers past the trial primes, and semiprimes near 10^12 whose
+    # factors only rho finds
+    prime_powers = [2**40, 3**25, 997**4, 1009**2, 1009**3, 999_983**2]
+    semiprimes = [999_983 * 1_000_003, 999_979 * 1_000_033, 1_000_003 * 1_000_037]
+    for n in prime_powers + semiprimes:
+        for k in (1, 2):
+            assert _jordan_totient(n, k) == _jordan_totient_reference(n, k)
+    assert _prime_divisors(999_983 * 1_000_003) == {999_983, 1_000_003}
+
+
+def test_prime_divisors_beyond_trial_division():
+    # a 17-digit prime, settled by Miller-Rabin; trial division took 13 s
+    p = 10_000_000_000_000_061
+    assert _prime_divisors(p) == {p}
+    assert _jordan_totient(p, 2) == p * p - 1
+    # above 3.3e24 rho still splits a composite into primes below it
+    m61 = 2**61 - 1
+    assert _prime_divisors(m61 * 1_000_000_007 * 998_244_353) == {m61, 1_000_000_007, 998_244_353}
+    # but a cofactor that passes every base there is refused, not guessed
+    m89 = 2**89 - 1
+    for n in (m89, 3 * m89):
+        with pytest.raises(BudgetExceededError, match="Miller-Rabin"):
+            _prime_divisors(n)
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,18 @@ def test_enumerate_budget_exit_code(capsys):
     assert "budget exceeded" in err
 
 
+def test_exact_order_count_of_large_prime_levels(capsys):
+    argv = ["enumerate", "--kind", "torsion", "--disc", "-4", "--ambient", "1"]
+    argv += ["--exact-order", "--count-only", "--level"]
+    p = 10_000_000_000_000_061
+    code, out, _ = run_cli(capsys, argv + [str(p)])
+    assert code == 0 and json.loads(out)["count"] == p * p - 1
+    # 2^89 - 1 passes every Miller-Rabin base but lies above the exact range
+    code, out, err = run_cli(capsys, argv + [str(2**89 - 1)])
+    assert code == 3 and not out
+    assert "budget exceeded: cannot prove" in err
+
+
 def test_enumerate_has_no_witness_level(capsys):
     # equal kernels at one level do not make two subgroups equal, so there
     # is no witness check to ask for; the listing itself is unchanged
@@ -540,6 +552,68 @@ def test_complement(capsys, tmp_path):
     obj = json.loads(out)
     assert obj["matrix"]["r"] == 2
     assert obj["certificate"]["holds"] is True
+
+
+# One call of each JSON subcommand, pinned by the SHA-256 of its stdout.  The
+# pins were taken when json.dumps still wrote the output, so they hold the
+# one-pass writer to the same bytes.
+JSON_PINS = {
+    "classify": (
+        ["classify", "--module", "{module}", "--dim-v", "1"],
+        "cab9241a95797df6c6cc96ef512e5cb1fff8a78694f8deda927a530ed4727b5b",
+    ),
+    "reduce": (
+        ["reduce", "--module", "{module}", "--multipliers", "1,1+1*w,1"],
+        "d02b1e6280cb40c0b9056c914d99af04c241a0bba9e532e021aca8478b5e521b",
+    ),
+    "lift": (
+        ["lift", "--module", "{module}"],
+        "cbec4864b6ec774c11d6aeba9d40af4443bb73dde18bb36a564d7922879b7f0e",
+    ),
+    "orthogonal": (
+        ["orthogonal", "--matrix", "{matrix}"],
+        "c834e22c31079c1e6a7716610305d9dd60e4fb4b20b0f9b726a3e43d9cc778e1",
+    ),
+    "siegel": (
+        ["siegel", "--matrix", "{matrix}"],
+        "5caa816486cba5c91c2578f0c231f5c9117a80d95279a08aea50ed3197f8cd54",
+    ),
+    "complement": (
+        ["complement", "--matrix", "{matrix}"],
+        "bdbc87fb409816a7513654af2ea71c88992bcaa735b04dc789e6176cc1029b8a",
+    ),
+    "enumerate-torsion": (
+        ["enumerate", "--kind", "torsion", "--disc", "-3", "--ambient", "1", "--level", "3"],
+        "b7158c924ad7804becd139686366c313bacdf03cf1922fc18be6c811719d6d1c",
+    ),
+    "enumerate-subgroups": (
+        ["enumerate", "--kind", "subgroups", "--disc", "-8", "--ambient", "2", "--dim", "1"]
+        + ["--x-budget", "6"],
+        "6f827144768b8b6324bc0ec36422db73a4fab6cb3e3112ff33176c16c1a2ddbc",
+    ),
+    "bounds": (
+        ["bounds", "--theorem", "teoremone_i", "--eta", "1/7", "--param", "N=4"]
+        + ["--param", "hV=3", "--param", "degV=5", "--param", "ktorV=7", "--param", "kV=11"],
+        "36cc35b7f78d6a49172b953cdc3e4dfb1ff2aa1aa862cc855168f66f7870e80c",
+    ),
+    "identities": (
+        ["identities"],
+        "021249715d39d3c8f3b9237e962fc255ec47f2ca117dfb385dfd47c68571c673",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_PINS))
+def test_json_output_pinned(capsys, tmp_path, name):
+    spec = ModuleSpec(-4, 1, [[1]])
+    module = write_module(tmp_path, spec, [PointInEN.from_rows(spec, [[1], [(1, 1)], [2]])])
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("-7 3 1\n2 1-1*w 3\n")
+    argv, pin = JSON_PINS[name]
+    argv = [a.format(module=module, matrix=matrix) for a in argv]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
 # What an installer-generated console script does with its entry point; the

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -159,6 +160,64 @@ def test_dumps_canonical_deterministic():
     assert one == two
     assert one.endswith("\n")
     assert one.index('"a"') < one.index('"b"')
+
+
+# quotes, backslashes, control characters, non-ASCII, a line separator, an
+# astral character and a lone surrogate, all of which json escapes
+_CHARS = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+          "é", "ß", "€", "\u2028", "\U0001F600", "\U00010000", "\ud800"]
+
+
+def _random_str(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _random_scalar(rng):
+    return rng.choice([
+        _random_str(rng),
+        rng.randint(-10**6, 10**6),
+        rng.choice([0, -1, 2**63, -(2**64) - 1, 10**40, -(3**90)]),  # past 64 bits
+        True,
+        False,
+        None,
+    ])
+
+
+def _random_json(rng, depth=0):
+    """A seeded nested value of the types ``dumps_canonical`` accepts."""
+    kind = rng.randrange(7) if depth < 4 else 0
+    size = rng.randint(0, 4)  # 0 puts an empty container at this depth
+    if kind == 0:
+        return _random_scalar(rng)
+    if kind == 1:  # one element type, so a single join writes it
+        return [_random_str(rng) for _ in range(size)]
+    if kind == 2:
+        return [rng.randint(-10**20, 10**20) for _ in range(size)]
+    if kind == 3:  # bools next to ints
+        return [rng.choice([True, False, 0, 1, 2]) for _ in range(size)]
+    if kind in (4, 5):
+        items = [_random_json(rng, depth + 1) for _ in range(size)]
+        return items if kind == 4 else tuple(items)
+    return {_random_str(rng): _random_json(rng, depth + 1) for _ in range(size)}
+
+
+def test_dumps_canonical_matches_json_dumps():
+    rng = random.Random(29)
+    for _ in range(2000):
+        obj = _random_json(rng)
+        assert dumps_canonical(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    nested_empty = {"": [], "a": [{}, [[]], ()], "b": {"c": {"d": {}}}}
+    assert dumps_canonical(nested_empty) == json.dumps(nested_empty, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [Fraction(1, 2), 0.5, {1, 2}, {1: "a"}, {"a": [{"b": 1.0}]}, [Fraction(3)], {"a": 1, 2: "b"}],
+    ids=["fraction", "float", "set", "int-key", "nested-float", "fraction-in-list", "mixed-keys"],
+)
+def test_dumps_canonical_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        dumps_canonical(obj)
 
 
 def test_element_text_round_trip_via_formats():

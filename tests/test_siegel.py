@@ -55,10 +55,16 @@ def test_small_solution_frozen():
 
 
 def test_small_solution_deterministic():
-    system = LinearSystem.from_ints(-7, [[(1, 1), 2, (0, 1)]])
-    a, ca = small_solution(system, count=2)
-    b, cb = small_solution(system, count=2)
-    assert a == b and ca == cb
+    # the second call reads the kernel that the first one kept on the system
+    rng = random.Random(53)
+    systems = [LinearSystem.from_ints(-7, [[(1, 1), 2, (0, 1)]])]
+    systems += [random_system(rng, disc, m, 4) for disc in DISCS for m in (1, 2)]
+    for system in systems:
+        count = system.n - system.m
+        a, ca = small_solution(system, count=count)
+        b, cb = small_solution(system, count=count)
+        assert a == b and ca == cb
+        assert small_solution(LinearSystem(system.disc, system.rows), count=count) == (a, ca)
 
 
 def test_small_solution_count_range():

@@ -15,7 +15,9 @@ from toran.subgroups import (
     TorsionPoint,
     _echelon,
     _flat,
+    _hnf,
     _identity,
+    _kernel_basis,
     _left_kernel,
     _level_steps,
     _rank,
@@ -318,6 +320,96 @@ def test_sum_and_intersection_random():
             assert all(x.is_zero() for x in mat_apply(H, list(col)))
             assert all(x.is_zero() for x in mat_apply(K, list(col)))
 
+
+
+def _sum_and_intersection_reference(H, K):
+    """The stacked route: the intersection saturates the row stack, and the
+    sum is the Hermite form of the annihilator of both kernels."""
+    disc, N = H.disc, H.N
+    stack = _right_kernel(_flat(H.rows + K.rows), disc, N)
+    inter = _hnf(_right_kernel(stack, disc, N), disc, N)
+    kernels = [v for M in (H, K) for v in _right_kernel(_flat(M.rows), disc, N)]
+    Msum = _hnf(_right_kernel(kernels, disc, N), disc, N)
+    return N - Msum.r, N - inter.r, Msum, inter
+
+
+def _kernel_pairs(rng, disc, n):
+    """Seeded (H, K) pairs over every (rH, rK) up to N, with equal, nested
+    and complementary ones, and rows made imprimitive so saturation acts."""
+    def matrix(r):
+        if not r:
+            return SubgroupMatrix(disc, n, [], check_rank=False)
+        rows = [list(row) for row in random_matrix(rng, disc, n, r).rows]
+        if rng.random() < 0.3:
+            rows[0] = [OrderElement(disc, rng.choice([2, 3]), rng.randint(0, 2)) * e for e in rows[0]]
+        return SubgroupMatrix(disc, n, rows)
+
+    def extend(H, r):
+        # K holds H's rows, so ker(K) lies in ker(H)
+        while True:
+            extra = random_matrix(rng, disc, n, r - H.r).rows
+            try:
+                return SubgroupMatrix(disc, n, H.rows + extra)
+            except RankError:
+                continue
+
+    for r_h in range(n + 1):
+        for r_k in range(n + 1):
+            H = matrix(r_h)
+            yield H, matrix(r_k)
+            if r_k > r_h:
+                K = extend(H, r_k)
+                yield H, K
+                yield K, H
+        H = matrix(r_h)
+        yield H, H
+        yield H, SubgroupMatrix(disc, n, H.rows)
+        C = orthogonal_complement(H)
+        yield H, C
+        yield C, H
+
+
+def test_sum_and_intersection_matches_stacked_reference():
+    rng = random.Random(89)
+    count = 0
+    for disc in DISCS:
+        for n in range(1, 6):
+            for H, K in _kernel_pairs(rng, disc, n):
+                expected = _sum_and_intersection_reference(H, K)
+                assert sum_and_intersection(H, K) == expected
+                count += 1
+    assert count > 500
+
+
+def test_kernel_readers_ignore_whether_the_kernel_is_filled():
+    rng = random.Random(97)
+    for disc in DISCS:
+        for n in range(1, 5):
+            for r in range(n + 1):
+                rows = random_matrix(rng, disc, n, r).rows if r else []
+                other = random_matrix(rng, disc, n, rng.randint(0, n))
+                readers = [
+                    saturate,
+                    orthogonal_complement,
+                    parametrization,
+                    lambda M: sum_and_intersection(M, other),
+                    lambda M: sum_and_intersection(other, M),
+                ]
+                if r + other.r == n:
+                    readers += [
+                        lambda M: intersection_cardinality(M, other),
+                        lambda M: intersection_exponent(other, M),
+                    ]
+                for read in readers:
+                    cold = SubgroupMatrix(disc, n, rows)
+                    warm = SubgroupMatrix(disc, n, rows)
+                    kernel = _kernel_basis(warm)
+                    assert kernel == tuple(map(tuple, _right_kernel(_flat(rows), disc, n)))
+                    # the kept kernel enters neither == nor hash
+                    assert cold == warm and hash(cold) == hash(warm)
+                    assert read(warm) == read(cold)
+                    assert _kernel_basis(warm) is kernel
+                    assert cold == warm and hash(cold) == hash(warm)
 
 
 def identity_matrix(disc, n):
