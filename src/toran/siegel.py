@@ -94,7 +94,13 @@ def _trace_gram(disc: int, u: list, v: list):
 
 
 def _lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
-    """Exact LLL (delta = 3/4) under the coordinate-wise trace form."""
+    """Exact LLL (delta = 3/4) under the coordinate-wise trace form.
+
+    Needs a Z-independent basis, as ``_z_basis`` of a saturated kernel is, so
+    every |b*_j|^2 > 0.  Size reduction b_k -= q*b_j keeps each b*_i: only mu's
+    row k moves (Cohen, Alg. 2.6.3, RED), mu_ki -= q*mu_ji for i < j, then
+    mu_kj -= q.  Swaps re-run gso(); the SWAP update waits on ROADMAP items 7, 9.
+    """
     b = [list(v) for v in basis]
     k_max = len(b)
     if k_max <= 1:
@@ -108,28 +114,27 @@ def _lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
         for i in range(1, k_max):
             vec = [Fraction(x) for x in b[i]]
             for j in range(i):
-                denom = bstar_norm[j]
-                mu[i][j] = (
-                    _trace_gram(disc, b[i], bstar[j]) / denom if denom else Fraction(0)
-                )
+                mu[i][j] = _trace_gram(disc, b[i], bstar[j]) / bstar_norm[j]
                 vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
             bstar.append(vec)
             bstar_norm[i] = _trace_gram(disc, vec, vec)
-        return mu, bstar, bstar_norm
+        return mu, bstar_norm
 
-    mu, bstar, bstar_norm = gso()
+    mu, bstar_norm = gso()
     k = 1
     while k < k_max:
         for j in range(k - 1, -1, -1):
             if abs(mu[k][j]) > Fraction(1, 2):
                 q = round(mu[k][j])
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                mu, bstar, bstar_norm = gso()
+                for i in range(j):
+                    mu[k][i] -= q * mu[j][i]
+                mu[k][j] -= q
         if bstar_norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar_norm[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bstar, bstar_norm = gso()
+            mu, bstar_norm = gso()
             k = max(k - 1, 1)
     return b
 

@@ -616,6 +616,30 @@ def test_json_output_pinned(capsys, tmp_path, name):
     assert hashlib.sha256(out.encode()).hexdigest() == pin
 
 
+# A 1 x 10 system over Z[i]: its kernel lattice has dimension 18, above any
+# the siegel workload builds.  The pins were taken when the LLL re-ran the
+# whole Gram-Schmidt after every size-reduction step.
+WIDE_SYSTEM = (
+    "-4 10 1\n"
+    "-1+2*w 7-9*w 5-2*w -8-4*w -6+2*w 6-2*w 3+8*w -6+9*w -2-9*w -3+4*w\n"
+)
+
+
+WIDE_PINS = {
+    "siegel": "9104f41fa4fcba2c42ce055c97030de61c672531e3ca756c0b40492bc5f63275",
+    "complement": "cfbd5c3aecae7070b7a413594563e8ff7a5157344f8dcb9cfe275e8022f0b2f6",
+}
+
+
+@pytest.mark.parametrize("command", list(WIDE_PINS))
+def test_wide_system_output_pinned(capsys, tmp_path, command):
+    path = tmp_path / "sys.txt"
+    path.write_text(WIDE_SYSTEM)
+    code, out, _ = run_cli(capsys, [command, "--matrix", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PINS[command]
+
+
 # What an installer-generated console script does with its entry point; the
 # entry's "module:attr" value arrives as argv[1] and is dropped from argv.
 _CONSOLE_SCRIPT_LAUNCHER = """\

@@ -1,20 +1,30 @@
 """Small kernel vectors with exact Siegel-shape certificates."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from toran import siegel
+from toran.intlattice import hnf_int
 from toran.orders import EUCLIDEAN_DISCS, OrderElement, format_element, parse_element
 from toran.siegel import (
     DEFAULT_SIEGEL_CONSTANT,
     LinearSystem,
     SiegelCertificate,
+    _trace_gram,
     complete_to_square,
     small_solution,
 )
-from toran.subgroups import RankError, SubgroupMatrix, _rank
+from toran.subgroups import (
+    RankError,
+    SubgroupMatrix,
+    _kernel_basis,
+    _rank,
+    _z_basis,
+    ints_to_vector,
+)
 
 DISCS = list(EUCLIDEAN_DISCS)
 
@@ -212,3 +222,160 @@ def test_box_search_outputs_pinned(monkeypatch, disc, row, count, expected):
     assert not cert.holds()
     lll, _ = small_solution(system, count=count, constant=Fraction(1, 1000), box_fallback=False)
     assert lll != sols
+
+
+# The LLL that re-ran the whole Gram-Schmidt after every size-reduction step,
+# kept verbatim as the reference for the one that updates a row of mu.
+def _reference_lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
+    """Exact LLL (delta = 3/4) under the coordinate-wise trace form."""
+    b = [list(v) for v in basis]
+    k_max = len(b)
+    if k_max <= 1:
+        return b
+
+    def gso():
+        mu = [[Fraction(0)] * k_max for _ in range(k_max)]
+        bstar_norm = [Fraction(0)] * k_max
+        bstar = [[Fraction(x) for x in b[0]]]
+        bstar_norm[0] = Fraction(_trace_gram(disc, b[0], b[0]))
+        for i in range(1, k_max):
+            vec = [Fraction(x) for x in b[i]]
+            for j in range(i):
+                denom = bstar_norm[j]
+                mu[i][j] = (
+                    _trace_gram(disc, b[i], bstar[j]) / denom if denom else Fraction(0)
+                )
+                vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
+            bstar.append(vec)
+            bstar_norm[i] = _trace_gram(disc, vec, vec)
+        return mu, bstar, bstar_norm
+
+    mu, bstar, bstar_norm = gso()
+    k = 1
+    while k < k_max:
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                q = round(mu[k][j])
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu, bstar, bstar_norm = gso()
+        if bstar_norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * bstar_norm[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            mu, bstar, bstar_norm = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+def _trace_form(disc, u, v):
+    # sum of Tr(x * conj(y)) over the coordinates, through the order's own
+    # arithmetic rather than siegel's interleaved formula
+    xs, ys = ints_to_vector(disc, u), ints_to_vector(disc, v)
+    return sum((x * y.conjugate()).trace() for x, y in zip(xs, ys))
+
+
+def _mu_and_norms(disc, basis):
+    """mu and |b*_i|^2 from the Gram matrix alone, over Fraction."""
+    k = len(basis)
+    gram = [[_trace_form(disc, u, v) for v in basis] for u in basis]
+    mu = [[Fraction(0)] * k for _ in range(k)]
+    r = [[Fraction(0)] * k for _ in range(k)]
+    norms = []
+    for i in range(k):
+        for j in range(i):
+            r[i][j] = gram[i][j] - sum(mu[j][l] * r[i][l] for l in range(j))
+            mu[i][j] = r[i][j] / norms[j]
+        norms.append(gram[i][i] - sum(mu[i][l] * r[i][l] for l in range(i)))
+    return mu, norms
+
+
+def _independent(rows):
+    return len(hnf_int(rows)) == len(rows)
+
+
+def _random_basis(rng, k, span=60):
+    """k independent flat rows of length 2n >= k, entries in [-span, span].
+    In about a third of the bases every row is a small multiple of one vector
+    plus a perturbation of at most 1, and such near-parallel rows force many
+    swaps."""
+    while True:
+        n = rng.randint(math.ceil(k / 2), math.ceil(k / 2) + 2)
+        rows = [[rng.randint(-span, span) for _ in range(2 * n)] for _ in range(k)]
+        if k >= 2 and rng.random() < 0.35:
+            base = [rng.randint(-span // 6, span // 6) for _ in range(2 * n)]
+            for i in range(k):
+                scale = rng.choice([1, 2, 3, 5])
+                rows[i] = [scale * x + rng.randint(-1, 1) for x in base]
+        if _independent(rows):
+            return rows
+
+
+def _tie_bases():
+    """Bases whose first mu is exactly m/2 for m = +-1, +-3, +-5: m = +-1 sits
+    on the size-reduction boundary, m = +-3 and +-5 meet round()'s half-even
+    tie.  With c = (1, 1, 0, 0) and e orthogonal to c, b1 = e + m*c and
+    b0 = 2*c give mu_10 = m/2 under every trace form, and a third row keeps
+    the reduction going past the first step."""
+    out = []
+    for disc in DISCS:
+        c = [1, 1, 0, 0]
+        r = [0, 0, 1, 0] if disc % 2 else [1, 0, 0, 1]
+        cc, rc = _trace_form(disc, c, c), _trace_form(disc, r, c)
+        e = [cc * x - rc * y for x, y in zip(r, c)]
+        for m in (1, -1, 3, -3, 5, -5):
+            b0 = [2 * x for x in c]
+            b1 = [x + m * y for x, y in zip(e, c)]
+            assert _mu_and_norms(disc, [b0, b1])[0][1][0] == Fraction(m, 2)
+            out.append((disc, [b0, b1]))
+            b2 = [x - y for x, y in zip(b1, [0, 1, 1, 1])]
+            assert _independent([b0, b1, b2])
+            out.append((disc, [b0, b1, b2]))
+    return out
+
+
+def _lll_cases():
+    rng = random.Random(20260417)
+    cases = _tie_bases()
+    for i in range(100):
+        disc = DISCS[i % len(DISCS)]
+        k = 1 + i % 8 if i % 50 != 49 else 10
+        cases.append((disc, _random_basis(rng, k)))
+    return cases
+
+
+def _assert_lll_reduced(disc, basis, reduced):
+    assert hnf_int(reduced) == hnf_int(basis)
+    assert len(reduced) == len(basis)
+    if len(reduced) <= 1:
+        return
+    mu, norms = _mu_and_norms(disc, reduced)
+    for i in range(len(reduced)):
+        assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+    for k in range(1, len(reduced)):
+        assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+def test_lll_matches_the_full_gram_schmidt_reference():
+    # the reference is slow: it takes every basis with at most 4 rows, every
+    # fourth with 5 to 8 and the first with 10, over all five discriminants
+    seen = {}
+    for disc, basis in _lll_cases():
+        k = len(basis)
+        seen[k] = seen.get(k, -1) + 1
+        if k <= 4 or (k <= 8 and seen[k] % 4 == 0) or seen[k] == 0:
+            assert siegel._lll(disc, basis) == _reference_lll(disc, basis)
+    assert sorted(seen) == [1, 2, 3, 4, 5, 6, 7, 8, 10]
+
+
+def test_lll_output_is_reduced_and_spans_the_input():
+    # independent of the reference: a wrong mu update leaves some |mu| above
+    # 1/2 or some Lovasz condition broken in a Gram-Schmidt computed here
+    for disc, basis in _lll_cases():
+        _assert_lll_reduced(disc, basis, siegel._lll(disc, basis))
+    rng = random.Random(4242)
+    for i in range(50):
+        disc = DISCS[i % len(DISCS)]
+        n = rng.randint(2, 5)
+        system = random_system(rng, disc, rng.randint(1, n - 1), n, span=6)
+        basis = _z_basis(_kernel_basis(system), disc)
+        _assert_lll_reduced(disc, basis, siegel._lll(disc, basis))
