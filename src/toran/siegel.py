@@ -97,30 +97,28 @@ def _lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
     """Exact LLL (delta = 3/4) under the coordinate-wise trace form.
 
     Needs a Z-independent basis, as ``_z_basis`` of a saturated kernel is, so
-    every |b*_j|^2 > 0.  Size reduction b_k -= q*b_j keeps each b*_i: only mu's
-    row k moves (Cohen, Alg. 2.6.3, RED), mu_ki -= q*mu_ji for i < j, then
-    mu_kj -= q.  Swaps re-run gso(); the SWAP update waits on ROADMAP items 7, 9.
+    every |b*_j|^2 > 0.  The Gram-Schmidt runs once; mu and |b*|^2 are then
+    kept in place (Cohen, Alg. 2.6.3).  Size reduction b_k -= q*b_j keeps each
+    b*_i, so only mu's row k moves (RED): mu_ki -= q*mu_ji for i < j, then
+    mu_kj -= q.  Swapping b_{k-1} and b_k (SWAP), with m = mu_k,k-1 and
+    B = |b*_k|^2 + m^2 |b*_k-1|^2, sets mu_k,k-1 = m |b*_k-1|^2 / B,
+    |b*_k|^2 = |b*_k-1|^2 |b*_k|^2 / B and |b*_k-1|^2 = B; it exchanges rows
+    k-1 and k of mu left of column k-1, and for each i > k, with t = mu_ik,
+    sets mu_ik = mu_i,k-1 - m*t, then mu_i,k-1 = t + mu_k,k-1 * mu_ik.
     """
     b = [list(v) for v in basis]
     k_max = len(b)
     if k_max <= 1:
         return b
-
-    def gso():
-        mu = [[Fraction(0)] * k_max for _ in range(k_max)]
-        bstar_norm = [Fraction(0)] * k_max
-        bstar = [[Fraction(x) for x in b[0]]]
-        bstar_norm[0] = Fraction(_trace_gram(disc, b[0], b[0]))
-        for i in range(1, k_max):
-            vec = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                mu[i][j] = _trace_gram(disc, b[i], bstar[j]) / bstar_norm[j]
-                vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
-            bstar.append(vec)
-            bstar_norm[i] = _trace_gram(disc, vec, vec)
-        return mu, bstar_norm
-
-    mu, bstar_norm = gso()
+    mu = [[Fraction(0)] * k_max for _ in range(k_max)]
+    bstar, bstar_norm = [], []
+    for i in range(k_max):
+        vec = [Fraction(x) for x in b[i]]
+        for j in range(i):
+            mu[i][j] = _trace_gram(disc, b[i], bstar[j]) / bstar_norm[j]
+            vec = [x - mu[i][j] * y for x, y in zip(vec, bstar[j])]
+        bstar.append(vec)
+        bstar_norm.append(_trace_gram(disc, vec, vec))
     k = 1
     while k < k_max:
         for j in range(k - 1, -1, -1):
@@ -134,7 +132,16 @@ def _lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bstar_norm = gso()
+            m = mu[k][k - 1]
+            big = bstar_norm[k] + m * m * bstar_norm[k - 1]
+            mu[k][k - 1] = m * bstar_norm[k - 1] / big
+            bstar_norm[k] = bstar_norm[k - 1] * bstar_norm[k] / big
+            bstar_norm[k - 1] = big
+            mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+            for i in range(k + 1, k_max):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
     return b
 

@@ -631,13 +631,40 @@ WIDE_PINS = {
 }
 
 
-@pytest.mark.parametrize("command", list(WIDE_PINS))
-def test_wide_system_output_pinned(capsys, tmp_path, command):
+# The 1 x 20 system over Z[i] of ROADMAP item 7: its kernel lattice has
+# dimension 38.  The pins were taken when the LLL re-ran the whole
+# Gram-Schmidt after every swap, which took about 17 s per command.
+SYSTEM_1X20 = (
+    "-4 20 1\n"
+    "1+6*w -8+8*w -6-9*w -8+0*w -7-6*w -7+1*w 8-0*w 9+3*w 9+9*w 9-0*w"
+    " -2+8*w -5-6*w -5+9*w 0+1*w 9+5*w -6+9*w -8+7*w 8-5*w 5-5*w 0+2*w\n"
+)
+
+
+PINS_1X20 = {
+    "siegel": "5dbb4b1b28da33262e6a00d7623b4347d20205cfed1334c6746813552d4c283f",
+    "complement": "50f24c7e8c9a93ec9b6d1917c40fec4527bfa55377baaeaa705eeab52b99cb1a",
+}
+
+
+def _system_output_digest(capsys, tmp_path, system, command):
     path = tmp_path / "sys.txt"
-    path.write_text(WIDE_SYSTEM)
+    path.write_text(system)
     code, out, _ = run_cli(capsys, [command, "--matrix", str(path)])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == WIDE_PINS[command]
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(WIDE_PINS))
+def test_wide_system_output_pinned(capsys, tmp_path, command):
+    digest = _system_output_digest(capsys, tmp_path, WIDE_SYSTEM, command)
+    assert digest == WIDE_PINS[command]
+
+
+@pytest.mark.parametrize("command", list(PINS_1X20))
+def test_dimension_38_output_pinned(capsys, tmp_path, command):
+    digest = _system_output_digest(capsys, tmp_path, SYSTEM_1X20, command)
+    assert digest == PINS_1X20[command]
 
 
 # What an installer-generated console script does with its entry point; the

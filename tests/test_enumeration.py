@@ -159,6 +159,28 @@ def test_enumerate_subgroups_properties():
     assert len(lattices) == len(out)
 
 
+def test_subgroup_listing_depends_on_coordinate_order_at_codimension_two():
+    # at r >= 2 the budget caps the row-norm product of the Hermite label,
+    # which depends on the order of the coordinates; the minor sum does not
+    def swapped(m):  # coordinates 2 and 3 exchanged, then relabelled
+        return hnf(SubgroupMatrix(m.disc, m.N, [[r[0], r[2], r[1]] for r in m.rows]))
+
+    def pairs(m):
+        return [[(e.a, e.b) for e in row] for row in m.rows]
+
+    found = enumerate_subgroups(-4, 3, 1, 6)
+    moved = {swapped(m) for m in found}
+    assert len(found) == len(moved) == 195
+    assert len(moved - set(found)) == 28
+    # (1, 0, -w), (0, 1, -1-w) turns into (1, -1, -w), (0, 1+w, -1)
+    rows = [[(1, 0), (0, 0), (0, -1)], [(0, 0), (1, 0), (-1, -1)]]
+    label = next(m for m in found if pairs(m) == rows)
+    image = swapped(label)
+    assert pairs(image) == [[(1, 0), (-1, 0), (0, -1)], [(0, 0), (1, 1), (-1, 0)]]
+    assert (surrogate_degree(label), surrogate_degree(image)) == (6, 9)
+    assert degree_surrogate(label).minor_sum == degree_surrogate(image).minor_sum == 4
+
+
 def test_enumerate_subgroups_extremes():
     ident = enumerate_subgroups(-4, 2, 0, 3)
     assert len(ident) == 1

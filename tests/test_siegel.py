@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -224,8 +225,9 @@ def test_box_search_outputs_pinned(monkeypatch, disc, row, count, expected):
     assert lll != sols
 
 
-# The LLL that re-ran the whole Gram-Schmidt after every size-reduction step,
-# kept verbatim as the reference for the one that updates a row of mu.
+# The LLL that re-ran the whole Gram-Schmidt after every size-reduction step
+# and every swap, kept verbatim as the reference for the one that keeps mu and
+# |b*|^2 through both.
 def _reference_lll(disc: int, basis: list[list[int]]) -> list[list[int]]:
     """Exact LLL (delta = 3/4) under the coordinate-wise trace form."""
     b = [list(v) for v in basis]
@@ -293,15 +295,15 @@ def _independent(rows):
     return len(hnf_int(rows)) == len(rows)
 
 
-def _random_basis(rng, k, span=60):
+def _random_basis(rng, k, span=60, parallel=None):
     """k independent flat rows of length 2n >= k, entries in [-span, span].
-    In about a third of the bases every row is a small multiple of one vector
-    plus a perturbation of at most 1, and such near-parallel rows force many
-    swaps."""
+    In about a third of the bases, or in each when ``parallel`` is true, every
+    row is a small multiple of one vector plus a perturbation of at most 1, and
+    such near-parallel rows force many swaps."""
     while True:
         n = rng.randint(math.ceil(k / 2), math.ceil(k / 2) + 2)
         rows = [[rng.randint(-span, span) for _ in range(2 * n)] for _ in range(k)]
-        if k >= 2 and rng.random() < 0.35:
+        if k >= 2 and (rng.random() < 0.35 if parallel is None else parallel):
             base = [rng.randint(-span // 6, span // 6) for _ in range(2 * n)]
             for i in range(k):
                 scale = rng.choice([1, 2, 3, 5])
@@ -379,3 +381,28 @@ def test_lll_output_is_reduced_and_spans_the_input():
         system = random_system(rng, disc, rng.randint(1, n - 1), n, span=6)
         basis = _z_basis(_kernel_basis(system), disc)
         _assert_lll_reduced(disc, basis, siegel._lll(disc, basis))
+
+
+def test_lll_reduces_larger_bases():
+    # the SWAP update's loop over rows i > k runs longest at large k, and
+    # near-parallel rows swap most.  A wrong update there tends to make the
+    # reduction run away rather than return, so where the platform has
+    # SIGALRM a timer turns that into a failure; the test takes about 0.5 s.
+    def runaway(signum, frame):
+        raise AssertionError("_lll ran for 15 s on a basis of at most 20 rows")
+
+    timed = hasattr(signal, "setitimer")
+    if timed:
+        previous = signal.signal(signal.SIGALRM, runaway)
+        signal.setitimer(signal.ITIMER_REAL, 15)
+    try:
+        rng = random.Random(2032)
+        for i, k in enumerate((12, 14, 16, 18, 20)):
+            for parallel in (False, True):
+                disc = DISCS[i]
+                basis = _random_basis(rng, k, parallel=parallel)
+                _assert_lll_reduced(disc, basis, siegel._lll(disc, basis))
+    finally:
+        if timed:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
